@@ -18,7 +18,7 @@ FUZZ_TARGETS = \
 
 # bin/kjoin-lint is declared phony so `go build` (itself incremental)
 # decides staleness, not make.
-.PHONY: all build test test-race lint lint-self analysis-test bin/kjoin-lint vet fuzz-smoke bench bench-json perf-smoke crash-smoke replication-smoke segment-smoke cluster-smoke reshard-smoke
+.PHONY: all build test test-race lint lint-self analysis-test bin/kjoin-lint vet fuzz-smoke bench bench-json bench-build perf-smoke crash-smoke replication-smoke segment-smoke cluster-smoke reshard-smoke
 
 all: build lint test
 
@@ -126,13 +126,21 @@ bench:
 bench-json:
 	$(GO) run ./cmd/kjoin-bench -hotpath BENCH_hotpath.json
 
+# bench-build vets, builds and tests the benchmark harness. bench/ is a
+# module of its own (replace kjoin => ../), so the root build and test
+# never compile it: this is what notices an engine API change that
+# breaks the benchmark.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) build ./... && $(GO) test -count=1 ./...
+
 # perf-smoke is the CI-sized performance gate: the allocation-regression
-# tests (steady-state verification must stay at zero allocs per pair)
+# tests (steady-state verification must stay at zero allocs per pair,
+# the probe kernel at zero per batch)
 # plus one iteration of each hot benchmark to catch bit-rot in the bench
 # code itself. MixedAddQuery covers the segmented engine's concurrent
 # add/query path.
 perf-smoke:
-	$(GO) test ./internal/verify/ -run 'ZeroAlloc' -count=1
+	$(GO) test ./internal/verify/ ./internal/core/ -run 'ZeroAlloc' -count=1
 	$(GO) test -bench 'SelfJoinPOI|Similarity|MixedAddQuery' -benchtime=1x -benchmem -run='^$$' .
 	$(GO) test -bench . -benchtime=1x -benchmem -run='^$$' ./internal/verify/ ./internal/sig/
 

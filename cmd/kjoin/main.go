@@ -123,8 +123,8 @@ func main() {
 	}
 	fail(w.Flush())
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "objects=%d candidates=%d results=%d preprocess=%v probe=%v verify=%v\n",
-			stats.Objects, stats.Candidates, len(pairs), stats.Preprocess, stats.Probe, stats.VerifyTime)
+		fmt.Fprintf(os.Stderr, "objects=%d candidates=%d size_pruned=%d results=%d preprocess=%v probe=%v verify=%v\n",
+			stats.Objects, stats.Candidates, stats.SizePruned, len(pairs), stats.Preprocess, stats.Probe, stats.VerifyTime)
 	}
 }
 

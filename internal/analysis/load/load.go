@@ -119,6 +119,11 @@ func (l *Loader) Load(patterns ...string) ([]*analysis.Package, error) {
 				if path != base && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 					return filepath.SkipDir
 				}
+				// Like the go tool, ... stops at a nested module (bench/):
+				// its packages belong to another import path.
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && path != l.moduleDir {
+					return filepath.SkipDir
+				}
 				if hasGoFiles(path) {
 					add(path)
 				}

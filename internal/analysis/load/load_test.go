@@ -55,6 +55,24 @@ func TestLoadRecursivePattern(t *testing.T) {
 	}
 }
 
+// TestLoadRecursiveStopsAtNestedModule: bench/ has its own go.mod, so a
+// module-wide ./... must not load its packages (the go tool's rule).
+func TestLoadRecursiveStopsAtNestedModule(t *testing.T) {
+	l, err := load.NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load("...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pkgs {
+		if p.Path == l.ModulePath()+"/bench" {
+			t.Errorf("nested module package leaked into Load: %s", p.Path)
+		}
+	}
+}
+
 func TestLoadMissingPackage(t *testing.T) {
 	l, err := load.NewLoader(".")
 	if err != nil {

@@ -5,10 +5,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -76,7 +78,8 @@ type Options struct {
 	// Progress, when set, receives coarse phase notifications:
 	// ("resolve", 0, n), ("signatures", 0, n), ("index", 0, n), then
 	// ("probe", done, n) roughly every probeProgressStep objects per
-	// worker, and a final ("done", n, n). It must be safe for concurrent
+	// worker (done ≤ n is extrapolated from that worker's own count), and
+	// a final ("done", n, n). It must be safe for concurrent
 	// calls. Useful for long joins behind a UI or a log.
 	Progress func(phase string, done, total int)
 }
@@ -135,6 +138,7 @@ type Pair struct {
 type Stats struct {
 	Objects    int           // total objects joined (|R| + |S| for R-S)
 	Candidates int64         // candidate pairs after prefix filtering
+	SizePruned int64         // candidates the size gate rejected before verification
 	Preprocess time.Duration // resolution, signatures, order, prefixes
 	BuildIndex time.Duration // inverted index construction
 	Probe      time.Duration // candidate generation + verification
@@ -444,7 +448,7 @@ func SelfJoinCtx(ctx context.Context, h *hierarchy.Hierarchy, objects [][]string
 		return nil, nil, err
 	}
 
-	pairs := j.probe(objs, objs, ix, true)
+	pairs := j.probe(objs, objs, ix, true, false)
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -508,7 +512,7 @@ func JoinCtx(ctx context.Context, h *hierarchy.Hierarchy, r, s [][]string, opt O
 		return nil, nil, err
 	}
 
-	pairs := j.probeRS(small, big, ix, swapped)
+	pairs := j.probe(small, big, ix, false, swapped)
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -519,16 +523,17 @@ func JoinCtx(ctx context.Context, h *hierarchy.Hierarchy, r, s [][]string, opt O
 // published once when the worker exits (per-candidate writes into a
 // shared slice would false-share cache lines between workers).
 type result struct {
-	pairs      []Pair
-	candidates int64
-	vst        verify.Stats
-	vtime      time.Duration
+	pairs []Pair
+	probeCounts
 }
 
-// probe runs the candidate-generation + verification loop for a self
-// join: object x is a candidate with every smaller-id object sharing a
-// prefix signature.
-func (j *joiner) probe(probes, indexed []prepped, ix *index.Inverted, self bool) []Pair {
+// probe runs the candidate-generation + verification loop of a batch
+// join: every probe object is a candidate with each indexed object that
+// shares a prefix signature. In a self join (probes and indexed are the
+// same collection) only smaller-id objects qualify; in an R-S join
+// probes is the smaller collection and probesAreR records which side of
+// the result pair it supplies.
+func (j *joiner) probe(probes, indexed []prepped, ix *index.Inverted, self, probesAreR bool) []Pair {
 	t0 := time.Now()
 	workers := j.opt.Workers
 	if workers <= 0 {
@@ -541,64 +546,58 @@ func (j *joiner) probe(probes, indexed []prepped, ix *index.Inverted, self bool)
 		workers = 1
 	}
 
+	// The size column and the gate's table are built once and shared
+	// read-only by the workers.
+	sizes := sizeColumn(indexed)
+	maxProbe := 0
+	for i := range probes {
+		maxProbe = max(maxProbe, len(probes[i].elems))
+	}
+	gate := newSizeGate(&j.opt, maxProbe)
+	var src objSource = batchObjs(indexed)
+
 	results := make([]result, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Work on stack-local state and publish once at the end:
+			// Work on worker-local state and publish once at the end:
 			// per-candidate writes into the shared results slice would
-			// false-share cache lines between workers.
-			var local result
-			// Each worker verifies on its own Context clone: the clone's
-			// Scratch (epoch tables, solver, sim cache) makes the
-			// steady-state verify path allocation-free, and per-worker
-			// ownership keeps it race-free.
-			vctx := j.ctx.Clone()
-			seen := make([]int32, len(indexed))
-			for i := range seen {
-				seen[i] = -1
-			}
+			// false-share cache lines between workers. Each worker's
+			// kernel verifies on its own Context clone, whose Scratch makes
+			// the steady-state verify path allocation-free and race-free.
+			k := newKernel(j.ctx.Clone(), &j.opt, gate)
+			k.seen = make([]int32, len(indexed))
+			var pairs []Pair
 			processed := 0
 			for x := w; x < len(probes); x += workers {
 				processed++
 				if processed%probeProgressStep == 0 {
-					j.opt.progress("probe", processed*workers, len(probes))
+					j.opt.progress("probe", min(processed*workers, len(probes)), len(probes))
 				}
 				if j.cc.Err() != nil {
 					break // join is cancelled; caller surfaces j.cc.Err()
 				}
 				px := &probes[x]
-				for _, s := range px.prefix {
-					for _, y := range ix.Postings(s) {
-						if int(y) >= x {
-							// Postings are ascending; later ids cannot
-							// qualify either.
-							break
-						}
-						if seen[y] == int32(x) {
-							continue
-						}
-						seen[y] = int32(x)
-						local.candidates++
-						if local.candidates%cancelCheckEvery == 0 && j.cc.Err() != nil {
-							break
-						}
-						tv := time.Now()
-						ok := vctx.VerifyKeyed(px.elems, indexed[y].elems, px.keys, indexed[y].keys, j.opt.Verifier, &local.vst)
-						local.vtime += time.Since(tv)
-						if ok {
-							p := Pair{X: int(y), Y: x}
-							if j.opt.ComputeSims {
-								p.Sim = vctx.Similarity(px.elems, indexed[y].elems)
-							}
-							local.pairs = append(local.pairs, p)
-						}
+				limit := int32(math.MaxInt32)
+				if self {
+					limit = int32(x)
+				}
+				k.begin()
+				k.gather(ix, px.prefix, limit)
+				if !k.run(j.cc, px, src, sizes) {
+					break // cancelled mid-object: abandon it whole
+				}
+				for _, h := range k.hits {
+					p := Pair{X: int(h.id), Y: x, Sim: h.sim}
+					if probesAreR {
+						p.X, p.Y = x, int(h.id)
 					}
+					pairs = append(pairs, p)
 				}
 			}
-			results[w] = local
+			results[w] = result{pairs: pairs, probeCounts: k.probeCounts}
 		}(w)
 	}
 	wg.Wait()
@@ -618,87 +617,20 @@ func (j *joiner) mergeResults(results []result) []Pair {
 	out := make([]Pair, 0, total)
 	for i := range results {
 		out = append(out, results[i].pairs...)
-		j.st.Candidates += results[i].candidates
-		j.st.Verify.Add(results[i].vst)
-		j.st.VerifyTime += results[i].vtime
+		results[i].drainInto(&j.st)
 	}
-	sort.Slice(out, func(i, k int) bool {
-		if out[i].X != out[k].X {
-			return out[i].X < out[k].X
-		}
-		return out[i].Y < out[k].Y
-	})
+	sortPairs(out)
 	return out
 }
 
-// probeRS runs the probe loop for an R-S join. probes is the smaller
-// collection, indexed the larger; swapped records whether probes is R.
-func (j *joiner) probeRS(probes, indexed []prepped, ix *index.Inverted, swapped bool) []Pair {
-	t0 := time.Now()
-	workers := j.opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(probes) {
-		workers = len(probes)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	results := make([]result, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var local result      // see probe: avoid false sharing
-			vctx := j.ctx.Clone() // see probe: per-worker scratch
-			seen := make([]int32, len(indexed))
-			for i := range seen {
-				seen[i] = -1
-			}
-			for x := w; x < len(probes); x += workers {
-				if j.cc.Err() != nil {
-					break // join is cancelled; caller surfaces j.cc.Err()
-				}
-				px := &probes[x]
-				for _, s := range px.prefix {
-					for _, y := range ix.Postings(s) {
-						if seen[y] == int32(x) {
-							continue
-						}
-						seen[y] = int32(x)
-						local.candidates++
-						if local.candidates%cancelCheckEvery == 0 && j.cc.Err() != nil {
-							break
-						}
-						tv := time.Now()
-						ok := vctx.VerifyKeyed(px.elems, indexed[y].elems, px.keys, indexed[y].keys, j.opt.Verifier, &local.vst)
-						local.vtime += time.Since(tv)
-						if ok {
-							var p Pair
-							if swapped {
-								// probes are R, indexed are S.
-								p = Pair{X: x, Y: int(y)}
-							} else {
-								p = Pair{X: int(y), Y: x}
-							}
-							if j.opt.ComputeSims {
-								p.Sim = vctx.Similarity(px.elems, indexed[y].elems)
-							}
-							local.pairs = append(local.pairs, p)
-						}
-					}
-				}
-			}
-			results[w] = local
-		}(w)
-	}
-	wg.Wait()
-	out := j.mergeResults(results)
-	j.st.Probe = time.Since(t0)
-	return out
+// sortPairs orders pairs by (X, Y).
+func sortPairs(pairs []Pair) {
+	slices.SortFunc(pairs, func(a, b Pair) int {
+		if c := cmp.Compare(a.X, b.X); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Y, b.Y)
+	})
 }
 
 // Similarity computes SIMδ(x, y) exactly for a single pair of tokenized
@@ -764,11 +696,6 @@ func NaiveSelfJoin(h *hierarchy.Hierarchy, objects [][]string, opt Options) ([]P
 			}
 		}
 	}
-	sort.Slice(out, func(i, k int) bool {
-		if out[i].X != out[k].X {
-			return out[i].X < out[k].X
-		}
-		return out[i].Y < out[k].Y
-	})
+	sortPairs(out)
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -338,13 +339,17 @@ func TestProgressCallback(t *testing.T) {
 	h, _ := paperdata.Fig1()
 	var mu sync.Mutex
 	phases := map[string]bool{}
+	wantTotal := 9
 	opt := Defaults(0.7, 0.6)
 	opt.Progress = func(phase string, done, total int) {
 		mu.Lock()
 		phases[phase] = true
 		mu.Unlock()
-		if total != 9 {
-			t.Errorf("progress total = %d, want 9", total)
+		if total != wantTotal {
+			t.Errorf("progress total = %d, want %d", total, wantTotal)
+		}
+		if done < 0 || done > total {
+			t.Errorf("progress %q done = %d outside [0, %d]", phase, done, total)
 		}
 	}
 	if _, _, err := SelfJoin(h, paperdata.Table1(), opt); err != nil {
@@ -354,5 +359,21 @@ func TestProgressCallback(t *testing.T) {
 		if !phases[want] {
 			t.Errorf("missing progress phase %q (got %v)", want, phases)
 		}
+	}
+
+	// Probe progress is extrapolated from one worker's count: with three
+	// workers over 3·probeProgressStep−1 objects the first worker reports
+	// at its last object, where the unclamped estimate overshoots.
+	wantTotal = 3*probeProgressStep - 1
+	objs := make([][]string, wantTotal)
+	for i := range objs {
+		objs[i] = []string{fmt.Sprintf("free%d", i)}
+	}
+	opt.Workers = 3
+	if _, _, err := SelfJoin(h, objs, opt); err != nil {
+		t.Fatal(err)
+	}
+	if !phases["probe"] {
+		t.Errorf("missing progress phase \"probe\" (got %v)", phases)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -11,7 +12,6 @@ import (
 	"kjoin/internal/hierarchy"
 	"kjoin/internal/index"
 	"kjoin/internal/sig"
-	"kjoin/internal/verify"
 )
 
 // Indexer is the online form of the K-Join framework (Algorithm 1's loop
@@ -83,14 +83,10 @@ type Indexer struct {
 	// prefix instead.
 	memInv   *index.Inverted // guarded by mu
 	memBirth time.Time       // guarded by mu: first insert into current memtable
-	// seen stamps the last probe (by stamp value) that visited each
-	// object (global id), deduplicating candidates across an object's
-	// prefix signatures and across segments. Stamps are drawn from a
-	// monotonic counter rather than the object id so that a cancelled
-	// Add can never leave stamps a later Add would mistake for its own.
-	seen    []int64 // guarded by mu
-	stamp   int64   // guarded by mu
-	candBuf []int32 // guarded by mu: reusable candidate id buffer
+	// wk is the add path's kernel. Its seen table has one slot per
+	// indexed object (grown by insertLocked) and deduplicates candidates
+	// across an object's prefix signatures and across segments.
+	wk *kernel // guarded by mu
 	// walSeq is the last write-ahead-log sequence reflected in the
 	// index (see SetWALSeq/ApplyLogged); it travels inside snapshots so
 	// recovery knows where replay resumes.
@@ -113,9 +109,9 @@ type Indexer struct {
 	// pin. Stored only by publishLocked (under mu); loaded anywhere.
 	view atomic.Pointer[view]
 
-	// vpool holds per-query verify.Context clones: RunQuery may run from
-	// many goroutines at once, and each clone owns the mutable Scratch
-	// that makes steady-state verification allocation-free.
+	// vpool holds per-query kernels: RunQuery may run from many
+	// goroutines at once, and each kernel owns the verify.Context clone
+	// and buffers that make a steady-state query allocation-free.
 	vpool sync.Pool
 }
 
@@ -132,13 +128,17 @@ func NewIndexer(h *hierarchy.Hierarchy, opt Options) (*Indexer, error) {
 	// query goroutines, and Clone must never race a lazy first-use
 	// scratch write on the original.
 	j.ctx.Prime()
+	// Object sizes are unbounded in a stream, so the gate keeps no table:
+	// each probe computes its own range.
+	gate := newSizeGate(&j.opt, 0)
 	ix := &Indexer{
 		j:      j,
 		order:  sig.BuildOrder(nil), // empty df: order degrades to signature id
 		mem:    &memtable{},
 		memInv: index.New(),
+		wk:     newKernel(j.ctx, &j.opt, gate),
 	}
-	ix.vpool.New = func() any { return j.ctx.Clone() }
+	ix.vpool.New = func() any { return newKernel(j.ctx.Clone(), &j.opt, gate) }
 	ix.mu.Lock()
 	ix.publishLocked()
 	ix.mu.Unlock()
@@ -263,56 +263,29 @@ func (ix *Indexer) AddCtx(ctx context.Context, tokens []string) (int, []Pair, er
 	// stamping, then verified in ascending id order — the candidate set
 	// and the verification of each pair are independent of the segment
 	// layout, so results are bit-identical for any seal/merge schedule.
+	// Every mutation publishes before it releases mu, so the current view
+	// resolves every id the indexes hold.
 	t1 := time.Now()
-	ix.stamp++
-	stamp := ix.stamp
-	cands := ix.candBuf[:0]
+	k := ix.wk
+	k.begin()
 	for _, seg := range ix.segs {
 		if err := ctx.Err(); err != nil {
 			j.st.Probe += time.Since(t1)
 			return 0, nil, err
 		}
-		for _, s := range p.prefix {
-			for _, y := range seg.inv.Postings(s) {
-				if ix.seen[y] != stamp {
-					ix.seen[y] = stamp
-					cands = append(cands, y)
-				}
-			}
-		}
+		k.gather(seg.inv, p.prefix, math.MaxInt32)
 	}
-	for _, s := range p.prefix {
-		if err := ctx.Err(); err != nil {
-			j.st.Probe += time.Since(t1)
-			return 0, nil, err
-		}
-		for _, y := range ix.memInv.Postings(s) {
-			if ix.seen[y] != stamp {
-				ix.seen[y] = stamp
-				cands = append(cands, y)
-			}
-		}
+	k.gather(ix.memInv, p.prefix, math.MaxInt32)
+	slices.Sort(k.cands)
+	done := k.run(ctx, &p, ix.view.Load(), nil)
+	k.drainInto(&j.st)
+	if !done {
+		j.st.Probe += time.Since(t1)
+		return 0, nil, ctx.Err()
 	}
-	slices.Sort(cands)
-	ix.candBuf = cands
 	var out []Pair
-	for _, y := range cands {
-		j.st.Candidates++
-		if j.st.Candidates%cancelCheckEvery == 0 && ctx.Err() != nil {
-			j.st.Probe += time.Since(t1)
-			return 0, nil, ctx.Err()
-		}
-		oy := ix.objLocked(int(y))
-		tv := time.Now()
-		ok := j.ctx.VerifyKeyed(p.elems, oy.elems, p.keys, oy.keys, j.opt.Verifier, &j.st.Verify)
-		j.st.VerifyTime += time.Since(tv)
-		if ok {
-			pair := Pair{X: int(y), Y: id}
-			if j.opt.ComputeSims {
-				pair.Sim = j.ctx.Similarity(p.elems, oy.elems)
-			}
-			out = append(out, pair)
-		}
+	for _, h := range k.hits {
+		out = append(out, Pair{X: int(h.id), Y: id, Sim: h.sim})
 	}
 
 	// Commit: seal first if this insert would overflow the memtable (the
@@ -333,20 +306,6 @@ func (ix *Indexer) AddCtx(ctx context.Context, tokens []string) (int, []Pair, er
 	j.st.Probe += time.Since(t1)
 	ix.publishLocked()
 	return id, out, nil
-}
-
-// objLocked returns the object with the given global id; ids must be
-// in range. Caller holds mu.
-func (ix *Indexer) objLocked(id int) *prepped {
-	if id >= ix.mem.base {
-		return &ix.mem.objs[id-ix.mem.base]
-	}
-	for _, s := range ix.segs {
-		if id < s.base+len(s.objs) {
-			return &s.objs[id-s.base]
-		}
-	}
-	panic("kjoin: object id outside engine")
 }
 
 // Match is one similarity-search result: the insertion index of a
@@ -385,71 +344,71 @@ func (ix *Indexer) PrepareQuery(tokens []string) (*PreparedQuery, error) {
 // with adds, seals and merges. A cancelled context aborts the probe
 // within one verification batch.
 func (ix *Indexer) RunQuery(ctx context.Context, q *PreparedQuery) ([]Match, error) {
-	j := ix.j
-	v := ix.view.Load()
-	// Borrow a verify context: its scratch makes per-candidate
-	// verification allocation-free, and pooling amortizes the scratch
-	// (and its warmed tables) across queries.
-	vctx := ix.vpool.Get().(*verify.Context)
-	defer ix.vpool.Put(vctx)
+	// Borrow a kernel: its verify scratch and buffers make the probe
+	// allocation-free, and pooling amortizes them (and the scratch's
+	// warmed tables) across queries.
+	k := ix.vpool.Get().(*kernel)
+	defer ix.vpool.Put(k)
+	return ix.runQuery(ctx, q, k)
+}
 
+// runQuery is RunQuery on the caller's kernel.
+func (ix *Indexer) runQuery(ctx context.Context, q *PreparedQuery, k *kernel) ([]Match, error) {
+	v := ix.view.Load()
 	// Gather candidates from the immutable segments' inverted indexes,
 	// then scan the memtable prefix for shared prefix signatures (the
-	// memtable's index is writer-private). Ids are disjoint across
-	// segments and the memtable; the map dedups within a segment across
-	// the query's prefix signatures.
-	var cands []int32
-	seen := make(map[int32]bool)
+	// memtable's index is writer-private). A pooled kernel has no seen
+	// table — it would need a slot per indexed object per concurrent
+	// query — so ids repeated across the query's prefix signatures are
+	// compacted away after the sort that ascending verification order
+	// needs anyway.
+	cands := k.cands[:0]
 	for _, seg := range v.segs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		for _, s := range q.p.prefix {
-			for _, y := range seg.inv.Postings(s) {
-				if !seen[y] {
-					seen[y] = true
-					cands = append(cands, y)
-				}
-			}
+			cands = append(cands, seg.inv.Postings(s)...)
 		}
 	}
-	if len(v.memObjs) > 0 {
-		qsig := make(map[int32]bool, len(q.p.prefix))
-		for _, s := range q.p.prefix {
-			qsig[s] = true
+	for i := range v.memObjs {
+		if i%cancelCheckEvery == cancelCheckEvery-1 && ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
-		for i := range v.memObjs {
-			for _, s := range v.memObjs[i].prefix {
-				if qsig[s] {
-					cands = append(cands, int32(v.memBase+i))
-					break
-				}
-			}
+		if sharesSig(q.p.prefix, v.memObjs[i].prefix) {
+			cands = append(cands, int32(v.memBase+i))
 		}
 	}
 	slices.Sort(cands)
+	k.cands = slices.Compact(cands)
 
-	var out []Match
-	var st Stats
-	var checked int64
-	for _, y := range cands {
-		checked++
-		if checked%cancelCheckEvery == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		oy := v.objAt(int(y))
-		if vctx.VerifyKeyed(q.p.elems, oy.elems, q.p.keys, oy.keys, j.opt.Verifier, &st.Verify) {
-			m := Match{Index: int(y)}
-			if j.opt.ComputeSims {
-				m.Sim = vctx.Similarity(q.p.elems, oy.elems)
-			}
-			out = append(out, m)
-		}
-	}
+	k.run(ctx, &q.p, v, nil)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	var out []Match
+	for _, h := range k.hits {
+		out = append(out, Match{Index: int(h.id), Sim: h.sim})
+	}
 	return out, nil
+}
+
+// sharesSig reports whether two engine prefixes have a signature in
+// common. The engine's signature order is the signature id (see
+// Indexer), so prepObject emits every prefix in ascending id order and
+// one merge walk decides.
+func sharesSig(a, b []int32) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			return true
+		}
+	}
+	return false
 }
 
 // Query reports the indexed objects similar to the tokenized object

@@ -69,7 +69,7 @@ func (ix *Indexer) insertLocked(p prepped) int {
 	}
 	ix.memInv.AddAll(p.prefix, int32(id))
 	ix.mem.objs = append(ix.mem.objs, p)
-	ix.seen = append(ix.seen, 0)
+	ix.wk.seen = append(ix.wk.seen, 0)
 	ix.j.st.Objects = id + 1
 	return id
 }

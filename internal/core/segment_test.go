@@ -95,7 +95,7 @@ func TestSegmentedDifferentialBitIdentical(t *testing.T) {
 				t.Fatalf("%s: Len %d vs %d", name, gIx.Len(), sIx.Len())
 			}
 			gs, ss := gIx.Stats(), sIx.Stats()
-			if gs.Objects != ss.Objects || gs.Candidates != ss.Candidates ||
+			if gs.Objects != ss.Objects || gs.Candidates != ss.Candidates || gs.SizePruned != ss.SizePruned ||
 				gs.SigEntries != ss.SigEntries || gs.Verify != ss.Verify {
 				t.Fatalf("%s: logical stats diverge: %+v vs %+v", name, gs, ss)
 			}

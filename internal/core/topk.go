@@ -78,6 +78,7 @@ func TopKSelfJoin(h *hierarchy.Hierarchy, objects [][]string, k int, opt Options
 func accumulate(total, st *Stats) {
 	total.Objects = st.Objects
 	total.Candidates += st.Candidates
+	total.SizePruned += st.SizePruned
 	total.Preprocess += st.Preprocess
 	total.BuildIndex += st.BuildIndex
 	total.Probe += st.Probe

@@ -442,6 +442,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	out := map[string]any{
 		"objects":          n,
 		"candidates":       st.Candidates,
+		"size_pruned":      st.SizePruned,
 		"results":          st.Verify.Results,
 		"count_pruned":     st.Verify.CountPruned,
 		"weighted_pruned":  st.Verify.WeightedPruned,

@@ -281,46 +281,44 @@ func (c *Context) AppendSortedKeys(dst []sig.Sig, elems []elem.ID) []sig.Sig {
 	return dst
 }
 
-// countBound returns Σ_k min(count_x(k), count_y(k)) over the sorted key
-// multisets — an upper bound on the number of similar element pairs
+// countReaches reports whether Σ_k min(count_x(k), count_y(k)) over the
+// sorted key multisets — the size of their multiset intersection —
+// reaches need. That sum bounds the number of similar element pairs
 // (each matched pair shares a key and consumes one x- and one y-element
-// counted under it), and therefore on the fuzzy overlap (edge weights
-// are ≤ 1). This is Lemma 3 computed without building groups.
-func countBound(xk, yk []sig.Sig) int {
+// counted under it), and therefore the fuzzy overlap (edge weights are
+// ≤ 1): this is Lemma 3 computed without building groups. The walk is
+// threshold-aware: it stops as soon as the count gets there, or as soon
+// as the keys still unread on the shorter side cannot make up the
+// difference — for most filter-generated candidates that is within the
+// first few keys.
+func countReaches(xk, yk []sig.Sig, need int) bool {
 	i, j, total := 0, 0, 0
-	for i < len(xk) && j < len(yk) {
+	for total < need {
+		if total+min(len(xk)-i, len(yk)-j) < need {
+			return false
+		}
 		switch {
 		case xk[i] < yk[j]:
 			i++
 		case xk[i] > yk[j]:
 			j++
 		default:
-			k := xk[i]
-			ci, cj := 0, 0
-			for i < len(xk) && xk[i] == k {
-				i++
-				ci++
-			}
-			for j < len(yk) && yk[j] == k {
-				j++
-				cj++
-			}
-			if cj < ci {
-				ci = cj
-			}
-			total += ci
+			total++
+			i++
+			j++
 		}
 	}
-	return total
+	return true
 }
 
 // VerifyKeyed is Verify with precomputed sorted key multisets (see
 // SortedKeys): candidates failing count pruning are rejected without
 // building the per-pair group structure, which is where the bulk of
-// filter-generated candidates die.
+// filter-generated candidates die. A whole-number count is below the
+// required overlap exactly when it is below the overlap's ceiling.
 func (c *Context) VerifyKeyed(x, y []elem.ID, xKeys, yKeys []sig.Sig, kind Kind, st *Stats) bool {
 	need := c.Set.PairOverlap(c.Tau, len(x), len(y))
-	if mathx.LT(float64(countBound(xKeys, yKeys)), need) {
+	if !countReaches(xKeys, yKeys, mathx.CeilInt(need)) {
 		st.Pairs++
 		st.CountPruned++
 		return false
