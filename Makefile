@@ -135,12 +135,13 @@ bench-build:
 
 # perf-smoke is the CI-sized performance gate: the allocation-regression
 # tests (steady-state verification must stay at zero allocs per pair,
-# the probe kernel at zero per batch)
+# the probe kernel at zero per batch), the ladder-laziness test (a pair
+# the upper bound rejects pays for no lower bound)
 # plus one iteration of each hot benchmark to catch bit-rot in the bench
 # code itself. MixedAddQuery covers the segmented engine's concurrent
 # add/query path.
 perf-smoke:
-	$(GO) test ./internal/verify/ ./internal/core/ -run 'ZeroAlloc' -count=1
+	$(GO) test ./internal/verify/ ./internal/core/ -run 'ZeroAlloc|LadderLazy' -count=1
 	$(GO) test -bench 'SelfJoinPOI|Similarity|MixedAddQuery' -benchtime=1x -benchmem -run='^$$' .
 	$(GO) test -bench . -benchtime=1x -benchmem -run='^$$' ./internal/verify/ ./internal/sig/
 

@@ -148,11 +148,11 @@ type Stats struct {
 	SigEntries int64         // total signature entries generated
 }
 
-// prepped is one preprocessed object.
+// prepped is one preprocessed object: its verification form (elements,
+// sorted group-key multiset, key-ordered element column) and its prefix.
 type prepped struct {
-	elems  []elem.ID
-	keys   []sig.Sig // sorted group-key multiset for fast count pruning
-	prefix []int32   // deduplicated prefix signature ids
+	verify.Prepared
+	prefix []int32 // deduplicated prefix signature ids
 }
 
 // joiner holds the shared preprocessing state of a join.
@@ -171,35 +171,27 @@ type joiner struct {
 	// resolveAll. Indexed by elem.ID; grown as tokens are interned.
 	elemSeen  []int64
 	elemStamp int64
-	// Arenas backing the retained per-object slices (elems, sorted keys)
-	// and the transient per-object entry lists: chunks are replaced, not
-	// regrown, so carved slices stay valid. One chunk allocation serves
-	// hundreds of objects where the seed allocated per object.
+	// Arenas backing the retained per-object slices (elems and their
+	// key-ordered copy, sorted keys) and the transient per-object entry
+	// lists; see reserve. One chunk allocation serves hundreds of objects
+	// where the seed allocated per object.
 	elemArena  []elem.ID
 	elemBuf    []elem.ID
 	keyArena   []sig.Sig
 	entryArena []sig.Entry
 }
 
-// carveElems copies buf into the element arena and returns the carved
-// slice (capacity-clamped so appends can never cross object boundaries).
-func (j *joiner) carveElems(buf []elem.ID) []elem.ID {
-	if len(buf) == 0 {
-		return nil
+// reserve carves room for n items from the arena and returns it as an
+// empty slice to append into, capacity-clamped so appends can never
+// cross into the next carve. Chunks are replaced, not regrown, so carved
+// slices stay valid.
+func reserve[T any](arena *[]T, n int) []T {
+	if len(*arena)+n > cap(*arena) {
+		*arena = make([]T, 0, max(2*cap(*arena), 256, n))
 	}
-	if len(j.elemArena)+len(buf) > cap(j.elemArena) {
-		n := 2 * cap(j.elemArena)
-		if n < 256 {
-			n = 256
-		}
-		if n < len(buf) {
-			n = len(buf)
-		}
-		j.elemArena = make([]elem.ID, 0, n)
-	}
-	start := len(j.elemArena)
-	j.elemArena = append(j.elemArena, buf...)
-	return j.elemArena[start:len(j.elemArena):len(j.elemArena)]
+	start := len(*arena)
+	*arena = (*arena)[:start+n]
+	return (*arena)[start : start : start+n]
 }
 
 func newJoiner(h *hierarchy.Hierarchy, opt Options) *joiner {
@@ -257,57 +249,37 @@ func (j *joiner) resolveAll(objects [][]string) []prepped {
 				j.elemBuf = append(j.elemBuf, id)
 			}
 		}
-		out[i].elems = j.carveElems(j.elemBuf)
+		if len(j.elemBuf) > 0 {
+			out[i].Elems = append(reserve(&j.elemArena, len(j.elemBuf)), j.elemBuf...)
+		}
 	}
 	return out
 }
 
 // entriesFor generates and returns the signature entries of every
-// object. Entry lists and sorted key multisets are carved from the
-// joiner's arenas: each object's exact size is known from the warmed
-// signature caches, so the arena appends below never regrow a chunk
-// mid-object.
+// object, and completes its verification form. Entry lists, sorted key
+// multisets and key-ordered columns are carved from the joiner's arenas:
+// each object's exact sizes are known from the warmed signature caches.
 func (j *joiner) entriesFor(objs []prepped) [][]sig.Entry {
 	all := make([][]sig.Entry, len(objs))
 	for i := range objs {
 		if i&1023 == 1023 && j.cc.Err() != nil {
 			return all // caller surfaces j.cc.Err()
 		}
-		elems := objs[i].elems
+		elems := objs[i].Elems
 		ne, nk := 0, 0
 		for _, e := range elems {
 			ne += j.sp.ElemSigCount(e)
 			nk += len(j.sp.GroupKeys(e))
 		}
-		if len(j.entryArena)+ne > cap(j.entryArena) {
-			n := 2 * cap(j.entryArena)
-			if n < 256 {
-				n = 256
-			}
-			if n < ne {
-				n = ne
-			}
-			j.entryArena = make([]sig.Entry, 0, n)
-		}
-		start := len(j.entryArena)
-		j.entryArena = j.sp.AppendObjectSigs(j.entryArena, elems)
-		all[i] = j.entryArena[start:len(j.entryArena):len(j.entryArena)]
+		all[i] = j.sp.AppendObjectSigs(reserve(&j.entryArena, ne), elems)
 		j.st.SigEntries += int64(ne)
 
-		// Precompute the sorted key multiset for fast count pruning.
-		if len(j.keyArena)+nk > cap(j.keyArena) {
-			n := 2 * cap(j.keyArena)
-			if n < 256 {
-				n = 256
-			}
-			if n < nk {
-				n = nk
-			}
-			j.keyArena = make([]sig.Sig, 0, n)
+		var byKey []elem.ID
+		if nk == len(elems) { // one key per element: the column exists
+			byKey = reserve(&j.elemArena, nk)
 		}
-		kstart := len(j.keyArena)
-		j.keyArena = j.ctx.AppendSortedKeys(j.keyArena, elems)
-		objs[i].keys = j.keyArena[kstart:len(j.keyArena):len(j.keyArena)]
+		objs[i].Prepared = j.ctx.Prepare(elems, reserve(&j.keyArena, nk), byKey)
 	}
 	return all
 }
@@ -351,7 +323,7 @@ func (j *joiner) prefixes(objs []prepped, entries [][]sig.Entry, order *sig.Orde
 				}
 				en := entries[i]
 				order.Sort(en)
-				n := len(objs[i].elems)
+				n := len(objs[i].Elems)
 				var p int
 				if j.opt.Weighted {
 					p = sig.WeightedPrefixS(en, j.opt.Set.MinOverlap(j.opt.Tau, n), &ps)
@@ -551,7 +523,7 @@ func (j *joiner) probe(probes, indexed []prepped, ix *index.Inverted, self, prob
 	sizes := sizeColumn(indexed)
 	maxProbe := 0
 	for i := range probes {
-		maxProbe = max(maxProbe, len(probes[i].elems))
+		maxProbe = max(maxProbe, len(probes[i].Elems))
 	}
 	gate := newSizeGate(&j.opt, maxProbe)
 	var src objSource = batchObjs(indexed)
@@ -567,7 +539,11 @@ func (j *joiner) probe(probes, indexed []prepped, ix *index.Inverted, self, prob
 			// false-share cache lines between workers. Each worker's
 			// kernel verifies on its own Context clone, whose Scratch makes
 			// the steady-state verify path allocation-free and race-free.
-			k := newKernel(j.ctx.Clone(), &j.opt, gate)
+			// Preprocessing is over, so the id ranges its tables cover are
+			// known.
+			vctx := j.ctx.Clone()
+			vctx.Reserve(j.res.Len(), j.sp.NumSigs())
+			k := newKernel(vctx, &j.opt, gate)
 			k.seen = make([]int32, len(indexed))
 			var pairs []Pair
 			processed := 0
@@ -662,14 +638,14 @@ func SimilarityCtx(ctx context.Context, h *hierarchy.Hierarchy, x, y []string, o
 		if ctx.Err() != nil {
 			break // surfaced by the ctx.Err() check below
 		}
-		for _, e := range objs[i].elems {
+		for _, e := range objs[i].Elems {
 			j.sp.GroupKeys(e)
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	return j.ctx.Similarity(objs[0].elems, objs[1].elems), nil
+	return j.ctx.Similarity(objs[0].Elems, objs[1].Elems), nil
 }
 
 // NaiveSelfJoin computes the exact answer with no filtering: every pair
@@ -683,14 +659,14 @@ func NaiveSelfJoin(h *hierarchy.Hierarchy, objects [][]string, opt Options) ([]P
 	objs := j.resolveAll(objects)
 	// Warm caches for the verification context.
 	for i := range objs {
-		for _, e := range objs[i].elems {
+		for _, e := range objs[i].Elems {
 			j.sp.GroupKeys(e)
 		}
 	}
 	var out []Pair
 	for x := 1; x < len(objs); x++ {
 		for y := 0; y < x; y++ {
-			s := j.ctx.Similarity(objs[x].elems, objs[y].elems)
+			s := j.ctx.Similarity(objs[x].Elems, objs[y].Elems)
 			if s >= opt.Tau-1e-9 {
 				out = append(out, Pair{X: y, Y: x, Sim: s})
 			}

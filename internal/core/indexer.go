@@ -181,7 +181,7 @@ func (ix *Indexer) Len() int { return ix.view.Load().total }
 func (ix *Indexer) Stats() Stats { return ix.view.Load().stats }
 
 // prepObject computes the preprocessed form of one tokenized object:
-// interned elements, sorted group keys and the deduplicated prefix under
+// interned elements, their verification form and the deduplicated prefix under
 // the Indexer's fixed signature order. It mutates the shared resolution
 // and signature caches: caller holds prepMu for the whole call. The
 // returned entry count feeds the SigEntries statistic (queries do not
@@ -189,11 +189,11 @@ func (ix *Indexer) Stats() Stats { return ix.view.Load().stats }
 func (ix *Indexer) prepObject(tokens []string) (prepped, int) {
 	j := ix.j
 	p := j.resolveAll([][]string{tokens})[0]
-	entries := j.sp.AppendObjectSigs(ix.entryBuf[:0], p.elems)
+	entries := j.sp.AppendObjectSigs(ix.entryBuf[:0], p.Elems)
 	ix.entryBuf = entries
-	p.keys = j.ctx.SortedKeys(p.elems)
+	p.Prepared = j.ctx.Prepare(p.Elems, nil, nil)
 	ix.order.Sort(entries)
-	n := len(p.elems)
+	n := len(p.Elems)
 	var plen int
 	if j.opt.Weighted {
 		plen = sig.WeightedPrefixS(entries, j.opt.Set.MinOverlap(j.opt.Tau, n), &ix.ps)

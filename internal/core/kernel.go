@@ -177,7 +177,7 @@ func (k *kernel) gather(inv *index.Inverted, prefix []int32, limit int32) {
 // the batch finished. Counts stay consistent either way: candidates ==
 // sizePruned + vst.Pairs.
 func (k *kernel) run(ctx context.Context, px *prepped, src objSource, sizes []int32) bool {
-	r := k.gate.bounds(len(px.elems))
+	r := k.gate.bounds(len(px.Elems))
 	live := k.cands
 	if sizes != nil {
 		// Compacts in place. The store is unconditional and the range
@@ -206,14 +206,14 @@ func (k *kernel) run(ctx context.Context, px *prepped, src objSource, sizes []in
 			}
 			done++
 			oy := src.objAt(int(y))
-			if n := int32(len(oy.elems)); sizes == nil && (n < r.lo || n > r.hi) {
+			if n := int32(len(oy.Elems)); sizes == nil && (n < r.lo || n > r.hi) {
 				pruned++
 				continue
 			}
-			if k.vctx.VerifyKeyed(px.elems, oy.elems, px.keys, oy.keys, k.verifier, &k.vst) {
+			if k.vctx.VerifyPrepared(&px.Prepared, &oy.Prepared, k.verifier, &k.vst) {
 				h := hit{id: y}
 				if k.computeSims {
-					h.sim = k.vctx.Similarity(px.elems, oy.elems)
+					h.sim = k.vctx.Similarity(px.Elems, oy.Elems)
 				}
 				k.hits = append(k.hits, h)
 			}
@@ -229,7 +229,7 @@ func (k *kernel) run(ctx context.Context, px *prepped, src objSource, sizes []in
 func sizeColumn(objs []prepped) []int32 {
 	sizes := make([]int32, len(objs))
 	for i := range objs {
-		sizes[i] = int32(len(objs[i].elems))
+		sizes[i] = int32(len(objs[i].Elems))
 	}
 	return sizes
 }

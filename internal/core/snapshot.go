@@ -100,8 +100,8 @@ func (pv *PinnedView) ObjectTokens(id int) ([]string, bool) {
 		return nil, false
 	}
 	o := pv.v.objAt(id)
-	out := make([]string, len(o.elems))
-	for i, e := range o.elems {
+	out := make([]string, len(o.Elems))
+	for i, e := range o.Elems {
 		out[i] = pv.ix.j.res.Info(e).Token
 	}
 	return out, true
@@ -143,7 +143,7 @@ func (pv *PinnedView) WriteSnapshot(w io.Writer) error {
 		return err
 	}
 	writeObj := func(o *prepped) error {
-		for i, e := range o.elems {
+		for i, e := range o.Elems {
 			if i > 0 {
 				if err := cw.WriteByte('\t'); err != nil {
 					return err

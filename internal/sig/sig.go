@@ -75,18 +75,30 @@ type Space struct {
 
 	sigCache   [][]sigW // per elem.ID signatures under scheme
 	groupCache [][]Sig  // per elem.ID node signatures (grouping keys for verification)
+	// maxDiff is the dense per elem.ID column of Resolver.MaxDiffSim under
+	// metric (the weight of Lemma 4). Slot e is filled together with
+	// groupCache[e], so verification reads a float where it used to load
+	// the element's Info and walk its mappings.
+	maxDiff []float64
 
-	// pub is an atomically published snapshot of groupCache, for the
-	// streaming Indexer: the owner fills the cache for every element of
-	// an object under its build lock, then calls Publish; lock-free
+	// pub is an atomically published snapshot of the group caches, for
+	// the streaming Indexer: the owner fills the caches for every element
+	// of an object under its build lock, then calls Publish; lock-free
 	// query goroutines served from the snapshot never touch the mutable
-	// cache. Ids beyond the snapshot (or unfilled slots) fall back to
+	// caches. Ids beyond the snapshot (or unfilled slots) fall back to
 	// the single-threaded lazy path, which remains owner-only.
-	pub atomic.Pointer[[][]Sig]
+	pub atomic.Pointer[groupCaches]
 
 	// gen is the generation scratch of the single-threaded cache-fill
 	// path; Warm workers carry their own.
 	gen genState
+}
+
+// groupCaches is one published snapshot of the per-element verification
+// caches: the group keys and, slot for slot, the MaxDiffSim column.
+type groupCaches struct {
+	keys    [][]Sig
+	maxDiff []float64
 }
 
 // genState is per-goroutine signature-generation state: reusable build
@@ -306,9 +318,7 @@ func (sp *Space) Warm(n, workers int) {
 	for len(sp.sigCache) < n {
 		sp.sigCache = append(sp.sigCache, nil)
 	}
-	for len(sp.groupCache) < n {
-		sp.groupCache = append(sp.groupCache, nil)
-	}
+	sp.growGroupCaches(n)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -333,7 +343,7 @@ func (sp *Space) Warm(n, workers int) {
 						sp.sigCache[i] = sp.genSigs(&st, e)
 					}
 					if sp.groupCache[i] == nil {
-						sp.groupCache[i] = sp.genGroupKeys(&st, e)
+						sp.fillGroupCaches(&st, e)
 					}
 				}
 			}(w)
@@ -349,9 +359,24 @@ func (sp *Space) Warm(n, workers int) {
 			sp.sigCache[i] = sp.genSigs(&sp.gen, e)
 		}
 		if sp.groupCache[i] == nil {
-			sp.groupCache[i] = sp.genGroupKeys(&sp.gen, e)
+			sp.fillGroupCaches(&sp.gen, e)
 		}
 	}
+}
+
+// growGroupCaches extends the group-key cache and the MaxDiffSim column
+// to cover element ids below n.
+func (sp *Space) growGroupCaches(n int) {
+	for len(sp.groupCache) < n {
+		sp.groupCache = append(sp.groupCache, nil)
+		sp.maxDiff = append(sp.maxDiff, 0)
+	}
+}
+
+// fillGroupCaches generates e's slot of both group caches.
+func (sp *Space) fillGroupCaches(st *genState, e elem.ID) {
+	sp.groupCache[e] = sp.genGroupKeys(st, e)
+	sp.maxDiff[e] = sp.res.MaxDiffSim(e, sp.metric)
 }
 
 // GroupKeys returns the node signatures of element e regardless of the
@@ -359,26 +384,37 @@ func (sp *Space) Warm(n, workers int) {
 // Lemmas 1, 3 and 8: elements in different groups cannot be similar.
 // The result is cached and must not be modified.
 func (sp *Space) GroupKeys(e elem.ID) []Sig {
-	if p := sp.pub.Load(); p != nil && int(e) < len(*p) && (*p)[e] != nil {
-		return (*p)[e]
+	if p := sp.pub.Load(); p != nil && int(e) < len(p.keys) && p.keys[e] != nil {
+		return p.keys[e]
 	}
-	for int(e) >= len(sp.groupCache) {
-		sp.groupCache = append(sp.groupCache, nil)
-	}
+	sp.growGroupCaches(int(e) + 1)
 	if sp.groupCache[e] == nil {
-		sp.groupCache[e] = sp.genGroupKeys(&sp.gen, e)
+		sp.fillGroupCaches(&sp.gen, e)
 	}
 	return sp.groupCache[e]
 }
 
-// Publish snapshots the group-key cache for lock-free readers. The
-// caller (the cache owner) must have filled every slot it wants readers
-// to see — genGroupKeys never stores nil, so a filled slot is exactly a
-// non-nil one — and must establish a happens-before edge between
-// Publish and those readers (the Indexer does so via its view pointer).
+// MaxDiffSims returns the dense column of Resolver.MaxDiffSim under the
+// space's metric, indexed by elem.ID: the published snapshot when there
+// is one, else the owner's column. Slot e is valid once e's group keys
+// have been generated (Warm or GroupKeys) and, for snapshot readers,
+// published — the same contract as GroupKeys. The result must not be
+// modified.
+func (sp *Space) MaxDiffSims() []float64 {
+	if p := sp.pub.Load(); p != nil {
+		return p.maxDiff
+	}
+	return sp.maxDiff
+}
+
+// Publish snapshots the group caches for lock-free readers. The caller
+// (the cache owner) must have filled every slot it wants readers to see
+// — genGroupKeys never stores nil, so a filled slot is exactly a non-nil
+// one — and must establish a happens-before edge between Publish and
+// those readers (the Indexer does so via its view pointer).
 func (sp *Space) Publish() {
-	s := sp.groupCache[:len(sp.groupCache):len(sp.groupCache)]
-	sp.pub.Store(&s)
+	n := len(sp.groupCache)
+	sp.pub.Store(&groupCaches{keys: sp.groupCache[:n:n], maxDiff: sp.maxDiff[:n:n]})
 }
 
 // genGroupKeys computes the node-signature grouping keys of one element

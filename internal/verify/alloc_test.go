@@ -18,6 +18,7 @@ func TestSteadyStateVerifyZeroAlloc(t *testing.T) {
 		t.Skip("allocation measurement is not meaningful in -short mode")
 	}
 	ctx, objs, keys := diffCtx(t, 200, 0.8, 0.8, elem.Standard, setmetric.Jaccard, false)
+	preps, _ := prepareAll(ctx, objs)
 
 	kinds := []Kind{Basic, SubGraph, Adaptive}
 	var st Stats
@@ -27,6 +28,7 @@ func TestSteadyStateVerifyZeroAlloc(t *testing.T) {
 		x, y := i%len(objs), (i*7+13)%len(objs)
 		for _, k := range kinds {
 			ctx.VerifyKeyed(objs[x], objs[y], keys[x], keys[y], k, &st)
+			ctx.VerifyPrepared(&preps[x], &preps[y], k, &st)
 		}
 		ctx.Similarity(objs[x], objs[y])
 	}
@@ -42,6 +44,17 @@ func TestSteadyStateVerifyZeroAlloc(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Errorf("steady-state VerifyKeyed(%v): %v allocs/pair, want 0", k, allocs)
+			}
+		})
+		t.Run("prepared/"+k.String(), func(t *testing.T) {
+			i := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				x, y := i%len(objs), (i*7+13)%len(objs)
+				i++
+				ctx.VerifyPrepared(&preps[x], &preps[y], k, &st)
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state VerifyPrepared(%v): %v allocs/pair, want 0", k, allocs)
 			}
 		})
 	}
@@ -60,7 +73,8 @@ func TestSteadyStateVerifyZeroAlloc(t *testing.T) {
 }
 
 // TestSolverReuseZeroAlloc pins the matching.Solver contract: repeat
-// solves over already-grown workspace allocate nothing.
+// solves and bounds over already-grown workspace allocate nothing, in
+// the order the lazy ladder calls them (B^u, then B^l, then the solve).
 func TestSolverReuseZeroAlloc(t *testing.T) {
 	ctx, objs, _ := diffCtx(t, 60, 0.8, 0.8, elem.Standard, setmetric.Jaccard, false)
 	s := ctx.scratch()
@@ -69,13 +83,18 @@ func TestSolverReuseZeroAlloc(t *testing.T) {
 		ctx.Overlap(objs[i], objs[(i+1)%len(objs)])
 	}
 	i := 0
-	allocs := testing.AllocsPerRun(100, func() {
+	ladder := func() {
 		x, y := objs[i%len(objs)], objs[(i*3+1)%len(objs)]
 		i++
 		s.edges = ctx.appendEdges(s, s.edges[:0], x, y)
+		s.solver.UpperBound(len(x), len(y), s.edges)
+		s.solver.LowerBound(len(x), len(y), s.edges)
 		s.solver.MaxWeight(len(x), len(y), s.edges)
-	})
-	if allocs != 0 {
-		t.Errorf("warmed Solver.MaxWeight: %v allocs/run, want 0", allocs)
+	}
+	for range objs {
+		ladder()
+	}
+	if allocs := testing.AllocsPerRun(100, ladder); allocs != 0 {
+		t.Errorf("warmed Solver bounds and MaxWeight: %v allocs/run, want 0", allocs)
 	}
 }

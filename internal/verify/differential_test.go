@@ -398,6 +398,18 @@ func diffCtx(tb testing.TB, n int, delta, tau float64, metric elem.Metric, set s
 	opts := elem.Options{}
 	if plus {
 		opts = elem.Options{Plus: true, PhiMin: 0.85, MaxMappings: 4}
+		// The generated names are unique, so no element would ever map to
+		// two nodes and the union-find side of grouping would never run.
+		// Give every 20th deep Food node a namesake under a Location node:
+		// its token then carries two group keys (§6.4), and about half the
+		// objects end up with such an element.
+		for d := 4; d <= 6; d++ {
+			for i, node := range hr.NodesAt(0, d) {
+				if twins := hr.NodesAt(1, d-1); i%20 == 0 && len(twins) > 0 {
+					hr.H.Add(twins[i%len(twins)], hr.H.Name(node))
+				}
+			}
+		}
 	}
 	r := elem.NewResolver(hr.H, opts)
 	sp := sig.NewSpace(r, metric, delta, sig.Deep)
@@ -422,10 +434,25 @@ func diffCtx(tb testing.TB, n int, delta, tau float64, metric elem.Metric, set s
 	return ctx, objs, keys
 }
 
+// prepareAll returns the ladder's prepared form of every object, and how
+// many of them carry the key-ordered column.
+func prepareAll(ctx *Context, objs [][]elem.ID) (preps []Prepared, flat int) {
+	preps = make([]Prepared, len(objs))
+	for i, o := range objs {
+		preps[i] = ctx.Prepare(o, nil, nil)
+		if preps[i].ByKey != nil {
+			flat++
+		}
+	}
+	return preps, flat
+}
+
 // TestScratchMatchesSeed drives random candidate pairs through both the
-// scratch-based path and the copied seed implementation across a matrix
-// of δ/τ/metric/set/verifier/Plus configurations: decisions, stats and
-// similarities must match bit for bit.
+// scratch-based path — by key multisets and by prepared objects, whose
+// key-ordered column turns Lemma 4 into a merge walk — and the copied
+// seed implementation across a matrix of δ/τ/metric/set/verifier/Plus
+// configurations: decisions, stats and similarities must match bit for
+// bit.
 func TestScratchMatchesSeed(t *testing.T) {
 	type cfg struct {
 		delta, tau float64
@@ -446,6 +473,13 @@ func TestScratchMatchesSeed(t *testing.T) {
 		t.Run(fmt.Sprintf("cfg%d", ci), func(t *testing.T) {
 			ctx, objs, keys := diffCtx(t, 120, cf.delta, cf.tau, cf.metric, cf.set, cf.plus)
 			oracle := &Context{Res: ctx.Res, Space: ctx.Space, Metric: cf.metric, Set: cf.set, Delta: cf.delta, Tau: cf.tau}
+			// Both sides of the single-key test must run: plain resolution
+			// gives every object the column, Plus resolution leaves some
+			// objects with a multi-key element and so without one.
+			preps, flat := prepareAll(ctx, objs)
+			if flat == 0 || (flat == len(objs)) == cf.plus {
+				t.Fatalf("cfg %d (plus=%v): %d of %d objects carry the key-ordered column", ci, cf.plus, flat, len(objs))
+			}
 			r := rand.New(rand.NewSource(int64(ci)))
 			for trial := 0; trial < 400; trial++ {
 				x := r.Intn(len(objs))
@@ -468,6 +502,10 @@ func TestScratchMatchesSeed(t *testing.T) {
 				}
 				if gotSt != wantSt {
 					t.Fatalf("cfg %d trial %d kind %v: stats %+v, seed %+v", ci, trial, kind, gotSt, wantSt)
+				}
+				var prepSt Stats
+				if got := ctx.VerifyPrepared(&preps[x], &preps[y], kind, &prepSt); got != want || prepSt != wantSt {
+					t.Fatalf("cfg %d trial %d kind %v: VerifyPrepared=%v stats %+v, seed %v %+v", ci, trial, kind, got, prepSt, want, wantSt)
 				}
 				gs := ctx.Similarity(objs[x], objs[y])
 				ws := seedSimilarity(oracle, objs[x], objs[y])

@@ -10,6 +10,7 @@
 package verify
 
 import (
+	"math/bits"
 	"sort"
 
 	"kjoin/internal/elem"
@@ -17,20 +18,21 @@ import (
 	"kjoin/internal/sig"
 )
 
-// sigTable is an epoch-stamped dense map from sig.Sig to int32 with
-// presence semantics (lookup reports whether the key was set this epoch).
-type sigTable struct {
+// denseTable is the storage of both table kinds: a value and an epoch
+// stamp per key. It grows by doubling, but never to less than floor —
+// the key range a caller that knows it has reserved (Scratch.reserve) —
+// so a reserved table is allocated once, and only if it is ever touched.
+type denseTable struct {
 	epoch []uint64
 	val   []int32
+	floor int
 }
 
-func (t *sigTable) grow(n int) {
+func (t *denseTable) grow(n int) {
 	if n <= len(t.epoch) {
 		return
 	}
-	if n < 2*len(t.epoch) {
-		n = 2 * len(t.epoch)
-	}
+	n = max(n, 2*len(t.epoch), t.floor)
 	ne := make([]uint64, n)
 	copy(ne, t.epoch)
 	t.epoch = ne
@@ -38,6 +40,10 @@ func (t *sigTable) grow(n int) {
 	copy(nv, t.val)
 	t.val = nv
 }
+
+// sigTable is an epoch-stamped dense map from sig.Sig to int32 with
+// presence semantics (lookup reports whether the key was set this epoch).
+type sigTable struct{ denseTable }
 
 func (t *sigTable) lookup(s sig.Sig, ep uint64) (int32, bool) {
 	if int(s) >= len(t.epoch) || t.epoch[s] != ep {
@@ -54,25 +60,7 @@ func (t *sigTable) set(s sig.Sig, v int32, ep uint64) {
 
 // elemTable is an epoch-stamped dense map from elem.ID to int32 where a
 // missing key reads as zero (multiset-counter semantics).
-type elemTable struct {
-	epoch []uint64
-	val   []int32
-}
-
-func (t *elemTable) grow(n int) {
-	if n <= len(t.epoch) {
-		return
-	}
-	if n < 2*len(t.epoch) {
-		n = 2 * len(t.epoch)
-	}
-	ne := make([]uint64, n)
-	copy(ne, t.epoch)
-	t.epoch = ne
-	nv := make([]int32, n)
-	copy(nv, t.val)
-	t.val = nv
-}
+type elemTable struct{ denseTable }
 
 func (t *elemTable) get(e elem.ID, ep uint64) int32 {
 	if int(e) >= len(t.epoch) || t.epoch[e] != ep {
@@ -96,7 +84,8 @@ func (t *elemTable) incr(e elem.ID, ep uint64) int32 {
 // cache: it starts at 1<<simCacheMinBits slots (16 KiB of keys+values)
 // and doubles as it fills, up to 1<<simCacheMaxBits (~512 KiB per
 // worker) — so a one-shot Similarity call pays for a small cache while
-// a long join grows to the full size.
+// a long join grows to the full size. A reserved scratch starts at eight
+// or more slots per element of its collection (within the same bounds).
 const (
 	simCacheMinBits = 10
 	simCacheMaxBits = 15
@@ -120,6 +109,7 @@ type simCache struct {
 	vals  []float64
 	shift uint // 64 - log2(len(keys))
 	fills int  // occupied slots since last resize
+	bits  uint // log2 of the first allocation; 0 selects simCacheMinBits
 }
 
 func (sc *simCache) slot(key uint64) uint64 {
@@ -146,9 +136,10 @@ func (sc *simCache) get(key uint64) (float64, bool) {
 
 func (sc *simCache) put(key uint64, v float64) {
 	if sc.keys == nil {
-		sc.keys = make([]uint64, 1<<simCacheMinBits)
-		sc.vals = make([]float64, 1<<simCacheMinBits)
-		sc.shift = 64 - simCacheMinBits
+		b := max(sc.bits, simCacheMinBits)
+		sc.keys = make([]uint64, 1<<b)
+		sc.vals = make([]float64, 1<<b)
+		sc.shift = 64 - b
 	} else if sc.fills > len(sc.keys)/2 && len(sc.keys) < 1<<simCacheMaxBits {
 		sc.keys = make([]uint64, 2*len(sc.keys))
 		sc.vals = make([]float64, len(sc.vals)*2)
@@ -226,6 +217,14 @@ type Scratch struct {
 	takenX elemTable
 	takenY elemTable
 
+	// loose is the ladder's per-group upper bound of the current pair,
+	// parallel to the group list: a group's count, then its Lemma 4 term
+	// once that is known. wkeys/wterms are the pair's shared keys and
+	// their Lemma 4 terms as the merge walk (weightedBound) met them.
+	loose  []float64
+	wkeys  []sig.Sig
+	wterms []float64
+
 	// Edge arena: groups hold [start, end) ranges into this flat slice
 	// so growth never invalidates another group's edges.
 	edges []matching.Edge
@@ -233,6 +232,9 @@ type Scratch struct {
 	// Adaptive verifier state.
 	act    gbSorter
 	solver matching.Solver
+	// lbEvals counts lower-bound evaluations (tests pin the ladder's
+	// laziness with it).
+	lbEvals int64
 
 	sims simCache
 }
@@ -240,6 +242,18 @@ type Scratch struct {
 // NewScratch returns an empty scratch workspace.
 func NewScratch() *Scratch {
 	return &Scratch{}
+}
+
+// reserve records the key ranges of the scratch's tables (see
+// Context.Reserve).
+func (s *Scratch) reserve(nElems, nSigs int) {
+	for _, t := range []*sigTable{&s.parent, &s.gidx, &s.merged} {
+		t.floor = nSigs
+	}
+	for _, t := range []*elemTable{&s.cnt, &s.used, &s.takenX, &s.takenY} {
+		t.floor = nElems
+	}
+	s.sims.bits = uint(min(bits.Len(uint(8*nElems)), simCacheMaxBits))
 }
 
 // find is the union-find lookup of groups(): path-halving iterative

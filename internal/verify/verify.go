@@ -3,6 +3,14 @@
 // (Lemma 3), weighted count pruning (Lemma 4), subgraph-matching
 // decomposition (Lemma 8), and the adaptive bound-driven verification of
 // §5.2 (Algorithm 3).
+//
+// The ladder is lazy and threshold-aware: the bounds form the chain
+// count ≥ Lemma 4 ≥ B^u ≥ overlap ≥ B^l, every rung is the cheapest one
+// not yet tried, it stops as soon as τ is decided, and a rung that reads
+// a pair group by group adds the looser bound of the groups still unread
+// and gives up when even that cannot reach the required overlap. Every
+// early exit takes the decision, and bumps the Stats counter, the eager
+// ladder would have (DESIGN §8 "ladder order").
 package verify
 
 import (
@@ -93,6 +101,14 @@ func (c *Context) Clone() *Context {
 	return &cp
 }
 
+// Reserve tells the context's workspace the id ranges it will see —
+// element ids below nElems, signature ids below nSigs — so each dense
+// table is allocated once, at full size, when first touched, instead of
+// doubling its way there. A batch join knows both after preprocessing
+// (Res.Len, Space.NumSigs); the streaming engine's ids keep growing, so
+// its contexts grow on demand.
+func (c *Context) Reserve(nElems, nSigs int) { c.scratch().reserve(nElems, nSigs) }
+
 // Prime materializes the context's lazily created Scratch. Callers that
 // later Clone the context from other goroutines (a sync.Pool New hook)
 // must prime it first: Clone reads the scratch pointer, and a concurrent
@@ -138,7 +154,9 @@ type group struct {
 
 // groups partitions the elements of x and y by node signature (Lemma 1:
 // elements in different groups cannot be similar). Elements with several
-// node signatures (K-Join+, §6.4) merge their groups via union-find.
+// node signatures (K-Join+, §6.4) merge their groups via union-find;
+// until the pair's first such element every key is its own root and the
+// union-find tables are not touched.
 //
 // The returned slice and its element lists belong to the scratch and are
 // valid until the next groups() call on this context.
@@ -146,17 +164,22 @@ func (c *Context) groups(x, y []elem.ID) []group {
 	s := c.scratch()
 	s.epoch++
 	ep := s.epoch
-	keyOf := func(e elem.ID) sig.Sig {
+	unions := false
+	rootOf := func(e elem.ID) sig.Sig {
 		keys := c.Space.GroupKeys(e)
 		for i := 1; i < len(keys); i++ {
 			s.union(keys[0], keys[i])
+			unions = true
 		}
-		return keys[0]
+		if !unions {
+			return keys[0]
+		}
+		return s.find(keys[0])
 	}
 	s.roots = s.roots[:0]
 	gs := s.groups[:0]
 	for _, e := range x {
-		r := s.find(keyOf(e))
+		r := rootOf(e)
 		i, ok := s.gidx.lookup(r, ep)
 		if !ok {
 			i = int32(len(gs))
@@ -167,7 +190,7 @@ func (c *Context) groups(x, y []elem.ID) []group {
 		gs[i].xe = append(gs[i].xe, e)
 	}
 	for _, e := range y {
-		r := s.find(keyOf(e))
+		r := rootOf(e)
 		i, ok := s.gidx.lookup(r, ep)
 		if !ok {
 			i = int32(len(gs))
@@ -184,10 +207,12 @@ func (c *Context) groups(x, y []elem.ID) []group {
 	// merges (the common case — multi-mapping elements only arise under
 	// Plus resolution) the build order already is the output order.
 	needMerge := false
-	for _, r := range s.roots {
-		if s.find(r) != r {
-			needMerge = true
-			break
+	if unions {
+		for _, r := range s.roots {
+			if s.find(r) != r {
+				needMerge = true
+				break
+			}
 		}
 	}
 	if !needMerge {
@@ -258,27 +283,68 @@ func (c *Context) Similarity(x, y []elem.ID) float64 {
 	return c.Set.Sim(c.Overlap(x, y), len(x), len(y))
 }
 
-// SortedKeys returns the multiset of node-signature group keys of an
-// object, sorted — one key per (element, key) pair. Precompute it once
-// per object and pass it to VerifyKeyed for a fast count-pruning path.
-func (c *Context) SortedKeys(elems []elem.ID) []sig.Sig {
-	n := 0
-	for _, e := range elems {
-		n += len(c.Space.GroupKeys(e))
-	}
-	return c.AppendSortedKeys(make([]sig.Sig, 0, n), elems)
+// Prepared is one object in the form the ladder reads it. Build it once
+// per object with Prepare.
+type Prepared struct {
+	Elems []elem.ID
+	// Keys is the sorted multiset of the elements' node-signature group
+	// keys, one per (element, key) pair: Lemma 3 is a merge walk over two
+	// of them. Nil means not computed; the ladder then starts at the
+	// group structure.
+	Keys []sig.Sig
+	// ByKey is the elements again, in (group key, id) order, so that
+	// ByKey[i] is the element behind Keys[i]: Lemma 4 is then a merge
+	// walk too. It exists only when the object is a set of single-key
+	// elements — all of K-Join proper; an object with a multi-mapped
+	// K-Join+ element (or a repeated id) has none, and its pairs take the
+	// union-find path.
+	ByKey []elem.ID
 }
 
-// AppendSortedKeys appends the object's sorted group-key multiset to dst
-// (sorting only the appended region) — the allocation-free form of
-// SortedKeys for callers that manage their own key buffers or arenas.
-func (c *Context) AppendSortedKeys(dst []sig.Sig, elems []elem.ID) []sig.Sig {
-	start := len(dst)
+// Prepare returns the ladder's form of an object, sorting its packed
+// (group key, element) words once. Keys and ByKey are appended to keys
+// and byKey: pass nil to allocate, or zero-length slices with room for
+// one entry per (element, key) pair and per element to carve them from
+// an arena. It reads only the Space's caches, never the Context's
+// workspace, so it may run beside verification on the same Context.
+func (c *Context) Prepare(elems []elem.ID, keys []sig.Sig, byKey []elem.ID) Prepared {
+	var buf [32]uint64
+	words := buf[:0]
 	for _, e := range elems {
-		dst = append(dst, c.Space.GroupKeys(e)...)
+		for _, k := range c.Space.GroupKeys(e) {
+			words = append(words, uint64(uint32(k))<<32|uint64(uint32(e)))
+		}
 	}
-	slices.Sort(dst[start:])
-	return dst
+	slices.Sort(words)
+	p := Prepared{Elems: elems}
+	if keys == nil {
+		keys = make([]sig.Sig, 0, len(words))
+	}
+	for _, w := range words {
+		keys = append(keys, sig.Sig(w>>32))
+	}
+	p.Keys = keys
+	set := len(words) == len(elems) // every element has a key, so: exactly one each
+	for i := 1; set && i < len(words); i++ {
+		set = words[i] != words[i-1]
+	}
+	if set {
+		if byKey == nil {
+			byKey = make([]elem.ID, 0, len(words))
+		}
+		for _, w := range words {
+			byKey = append(byKey, elem.ID(uint32(w)))
+		}
+		p.ByKey = byKey
+	}
+	return p
+}
+
+// SortedKeys returns the multiset of node-signature group keys of an
+// object, sorted — one key per (element, key) pair: Prepared.Keys on its
+// own, for callers of VerifyKeyed.
+func (c *Context) SortedKeys(elems []elem.ID) []sig.Sig {
+	return c.Prepare(elems, nil, nil).Keys
 }
 
 // countReaches reports whether Σ_k min(count_x(k), count_y(k)) over the
@@ -311,42 +377,131 @@ func countReaches(xk, yk []sig.Sig, need int) bool {
 	return true
 }
 
-// VerifyKeyed is Verify with precomputed sorted key multisets (see
-// SortedKeys): candidates failing count pruning are rejected without
-// building the per-pair group structure, which is where the bulk of
-// filter-generated candidates die. A whole-number count is below the
-// required overlap exactly when it is below the overlap's ceiling.
+// weightedBound computes Lemma 4's bound Σ_groups |Sᵢˣ ∩ Sᵢʸ| +
+// min(Σ MaxDiffSim over Sᵢˣ−∩, Σ MaxDiffSim over Sᵢʸ−∩) for two objects
+// that carry their key-ordered columns, in one merge walk: a group is a
+// run of equal keys, its elements are sorted by id within the run, and
+// the multiset intersection falls out of the walk. No group is built, no
+// table is touched and the weights come from the Space's dense column.
+// Like countReaches it is threshold-aware: while the sum so far plus one
+// per element still unread on the shorter side is below floor it returns
+// that (an upper bound of the full sum) instead of finishing. The shared
+// keys and their terms are left in the scratch (wkeys, wterms).
+func (c *Context) weightedBound(s *Scratch, x, y *Prepared, floor float64) float64 {
+	md := c.Space.MaxDiffSims()
+	s.wkeys, s.wterms = s.wkeys[:0], s.wterms[:0]
+	xk, yk, xe, ye := x.Keys, y.Keys, x.ByKey, y.ByKey
+	i, j, w := 0, 0, 0.0
+	for i < len(xk) && j < len(yk) {
+		k := xk[i]
+		if k != yk[j] {
+			if k < yk[j] {
+				i++
+			} else {
+				j++
+			}
+			continue
+		}
+		if rest := w + float64(min(len(xk)-i, len(yk)-j)); rest < floor {
+			return rest
+		}
+		inter, sx, sy := 0, 0.0, 0.0
+		for i < len(xk) && j < len(yk) && xk[i] == k && yk[j] == k {
+			switch a, b := xe[i], ye[j]; {
+			case a == b:
+				inter++
+				i++
+				j++
+			case a < b:
+				sx += md[a]
+				i++
+			default:
+				sy += md[b]
+				j++
+			}
+		}
+		for ; i < len(xk) && xk[i] == k; i++ {
+			sx += md[xe[i]]
+		}
+		for ; j < len(yk) && yk[j] == k; j++ {
+			sy += md[ye[j]]
+		}
+		t := float64(inter) + min(sx, sy)
+		s.wkeys, s.wterms = append(s.wkeys, k), append(s.wterms, t)
+		w += t
+	}
+	return w
+}
+
+// VerifyKeyed is VerifyPrepared for callers that hold only the sorted
+// key multisets (see SortedKeys): the same ladder without the
+// key-ordered columns, so Lemma 4 runs over the groups.
 func (c *Context) VerifyKeyed(x, y []elem.ID, xKeys, yKeys []sig.Sig, kind Kind, st *Stats) bool {
-	need := c.Set.PairOverlap(c.Tau, len(x), len(y))
-	if !countReaches(xKeys, yKeys, mathx.CeilInt(need)) {
-		st.Pairs++
+	return c.VerifyPrepared(&Prepared{Elems: x, Keys: xKeys}, &Prepared{Elems: y, Keys: yKeys}, kind, st)
+}
+
+// Verify is VerifyPrepared on bare element lists: count pruning runs on
+// the group structure.
+func (c *Context) Verify(x, y []elem.ID, kind Kind, st *Stats) bool {
+	return c.VerifyPrepared(&Prepared{Elems: x}, &Prepared{Elems: y}, kind, st)
+}
+
+// VerifyPrepared reports whether SIMδ(x, y) ≥ τ using the given
+// verification algorithm, updating st. Count pruning (Lemma 3, part of
+// the base framework §3.2) runs for every Kind; the weighted count
+// pruning of Lemma 4 belongs to the improved verifiers (SubGraph,
+// Adaptive), while Basic then computes the similarity directly with one
+// whole-bigraph matching — the naive method the paper's Figure 11
+// compares against.
+//
+// The rungs run cheapest first — key count, Lemma 4 by merge walk, and
+// only then the group structure with its count, Lemma 4 (when the walk
+// could not run or could not tell), and the matching rungs. Candidates
+// failing count pruning, where the bulk of filter-generated candidates
+// die, are rejected without building anything.
+//
+// Sums of the same terms in another order, or cut short by a looser
+// bound, agree with the eager ladder's only up to rounding, so an early
+// exit fires only below floor — under the required overlap by mathx's
+// tolerance and by more than any rounding of a sum of |x|+|y| terms in
+// [0, 1] — and whatever lands in the band around the tolerance is
+// decided by the full sum in the eager ladder's order.
+func (c *Context) VerifyPrepared(x, y *Prepared, kind Kind, st *Stats) bool {
+	st.Pairs++
+	need := c.Set.PairOverlap(c.Tau, len(x.Elems), len(y.Elems))
+	if x.Keys != nil && y.Keys != nil && !countReaches(x.Keys, y.Keys, mathx.CeilInt(need)) {
 		st.CountPruned++
 		return false
 	}
-	return c.Verify(x, y, kind, st)
-}
+	n := float64(len(x.Elems) + len(y.Elems))
+	slack := 4 * n * n * 0x1p-52
+	floor := need - mathx.Eps - slack
 
-// Verify reports whether SIMδ(x, y) ≥ τ using the given verification
-// algorithm, updating st. Count pruning (Lemma 3, part of the base
-// framework §3.2) runs for every Kind; the weighted count pruning of
-// Lemma 4 belongs to the improved verifiers (SubGraph, Adaptive), while
-// Basic then computes the similarity directly with one whole-bigraph
-// matching — the naive method the paper's Figure 11 compares against.
-func (c *Context) Verify(x, y []elem.ID, kind Kind, st *Stats) bool {
-	st.Pairs++
-	need := c.Set.PairOverlap(c.Tau, len(x), len(y))
 	s := c.scratch()
-	gs := c.groups(x, y)
-
-	// Count pruning (Lemma 3): Σ min(|Six|, |Siy|) bounds the overlap.
-	countUB := 0
-	for _, g := range gs {
-		m := len(g.xe)
-		if len(g.ye) < m {
-			m = len(g.ye)
+	// weighted: Lemma 4 is still to be decided over the groups.
+	weighted, walked := kind != Basic, false
+	if weighted && x.ByKey != nil && y.ByKey != nil {
+		w := c.weightedBound(s, x, y, floor)
+		if w < floor {
+			st.WeightedPruned++
+			return false
 		}
-		countUB += m
+		weighted, walked = w < need-mathx.Eps+slack, true
 	}
+
+	gs := c.groups(x.Elems, y.Elems)
+
+	// Count pruning over the groups (Lemma 3): Σ min(|Six|, |Siy|) bounds
+	// the overlap. Merged K-Join+ groups can make it differ from the key
+	// count; it is also each group's loosest bound for the passes below.
+	countUB := 0
+	loose := s.loose[:0]
+	for _, g := range gs {
+		m := min(len(g.xe), len(g.ye))
+		countUB += m
+		loose = append(loose, float64(m))
+	}
+	s.loose = loose
 	if mathx.LT(float64(countUB), need) {
 		st.CountPruned++
 		return false
@@ -354,22 +509,45 @@ func (c *Context) Verify(x, y []elem.ID, kind Kind, st *Stats) bool {
 
 	if kind == Basic {
 		st.MatchingCalls++
-		ok := mathx.GE(c.OverlapBasic(x, y), need)
+		ok := mathx.GE(c.OverlapBasic(x.Elems, y.Elems), need)
 		if ok {
 			st.Results++
 		}
 		return ok
 	}
 
-	// Weighted count pruning (Lemma 4): exact matches count 1, the rest
-	// at most their MaxDiffSim.
-	wUB := 0.0
-	for _, g := range gs {
-		wUB += c.groupWeightedUB(s, g)
+	if walked {
+		// The walk's terms tighten their groups' bounds: without multi-key
+		// elements a group's root is its one key, and the group index of
+		// groups() (whose epoch is still current) finds it.
+		for i, k := range s.wkeys {
+			gi, _ := s.gidx.lookup(k, s.epoch)
+			loose[gi] = s.wterms[i]
+		}
 	}
-	if mathx.LT(wUB, need) {
-		st.WeightedPruned++
-		return false
+
+	// Weighted count pruning (Lemma 4) over the groups, in the eager
+	// ladder's order: exact matches count 1, the rest at most their
+	// MaxDiffSim. Each group's term replaces its looser bound; the bounds
+	// of the groups still unread close the sum.
+	if weighted {
+		wUB, rest := 0.0, sum(loose)
+		for gi, g := range gs {
+			rest -= loose[gi]
+			t, sets := c.groupWeightedUB(s, g)
+			if sets {
+				loose[gi] = t
+			}
+			wUB += t
+			if wUB+rest < floor {
+				st.WeightedPruned++
+				return false
+			}
+		}
+		if mathx.LT(wUB, need) {
+			st.WeightedPruned++
+			return false
+		}
 	}
 
 	var ok bool
@@ -389,7 +567,7 @@ func (c *Context) Verify(x, y []elem.ID, kind Kind, st *Stats) bool {
 		}
 		ok = mathx.GE(total, need)
 	default: // Adaptive
-		ok = c.adaptive(s, gs, need, st)
+		ok = c.adaptive(s, gs, loose, need, floor, st)
 	}
 	if ok {
 		st.Results++
@@ -397,18 +575,33 @@ func (c *Context) Verify(x, y []elem.ID, kind Kind, st *Stats) bool {
 	return ok
 }
 
+func sum(xs []float64) float64 {
+	t := 0.0
+	for _, x := range xs {
+		t += x
+	}
+	return t
+}
+
 // groupWeightedUB computes the per-group term of Lemma 4:
 // |Six ∩ Siy| + min(Σ MaxDiffSim over Six−∩, Σ MaxDiffSim over Siy−∩).
 // The intersection is a multiset intersection on element identity,
-// counted in the scratch's epoch-stamped element tables.
-func (c *Context) groupWeightedUB(s *Scratch, g group) float64 {
+// counted in the scratch's epoch-stamped element tables. sets reports
+// that no id repeats within either side; only then does the term also
+// bound the group's B^u (a second copy of an id counts MaxDiffSim here
+// but still has its weight-1 edge to the other side's copy there).
+func (c *Context) groupWeightedUB(s *Scratch, g group) (term float64, sets bool) {
 	if len(g.xe) == 0 || len(g.ye) == 0 {
-		return 0
+		return 0, true
 	}
+	md := c.Space.MaxDiffSims()
 	s.epoch++
 	ep := s.epoch
+	sets = true
 	for _, e := range g.xe {
-		s.cnt.incr(e, ep)
+		if s.cnt.incr(e, ep) > 1 {
+			sets = false
+		}
 	}
 	inter := 0
 	for _, e := range g.ye {
@@ -422,46 +615,68 @@ func (c *Context) groupWeightedUB(s *Scratch, g group) float64 {
 		if s.takenX.incr(e, ep) <= s.used.get(e, ep) {
 			continue // part of the intersection
 		}
-		sx += c.Res.MaxDiffSim(e, c.Metric)
+		sx += md[e]
 	}
 	for _, e := range g.ye {
-		if s.takenY.incr(e, ep) <= s.used.get(e, ep) {
+		n := s.takenY.incr(e, ep)
+		if n > 1 {
+			sets = false
+		}
+		if n <= s.used.get(e, ep) {
 			continue
 		}
-		sy += c.Res.MaxDiffSim(e, c.Metric)
+		sy += md[e]
 	}
-	m := sx
-	if sy < m {
-		m = sy
-	}
-	return float64(inter) + m
+	return float64(inter) + min(sx, sy), sets
 }
 
 // adaptive is Algorithm 3: per-group bounds with early accept/reject and
-// loosest-groups-first exact matching. Group edge lists live in the
-// scratch edge arena as [start, end) ranges, so arena growth while later
-// groups are built never invalidates earlier groups.
-func (c *Context) adaptive(s *Scratch, gs []group, need float64, st *Stats) bool {
-	act := s.act.act[:0]
+// loosest-groups-first exact matching, the bounds computed cheapest
+// first. B^u is one pass over a group's edges; B^l is two greedy
+// matchings and a sort. Since B^l ≤ B^u the accept test ΣB^l ≥ need and
+// the reject test ΣB^u < need can never both fire, so the B^u pass runs
+// alone first — giving up as soon as the bounds read so far plus loose[i]
+// (an upper bound of B^u per group: its Lemma 4 term or its count) for
+// every group still unread cannot reach need, before those groups'
+// similarities are even fetched — and B^l is computed only for pairs it
+// leaves undecided. Group edge lists live in the scratch edge arena as
+// [start, end) ranges, so arena growth while later groups are built
+// never invalidates earlier groups.
+func (c *Context) adaptive(s *Scratch, gs []group, loose []float64, need, floor float64, st *Stats) bool {
+	s.act.act = s.act.act[:0]
 	s.edges = s.edges[:0]
-	bl, bu := 0.0, 0.0
+	bu, rest := 0.0, sum(loose)
 	for gi, g := range gs {
 		if len(g.xe) == 0 || len(g.ye) == 0 {
 			continue
 		}
+		rest -= loose[gi]
 		start := len(s.edges)
 		s.edges = c.appendEdges(s, s.edges, g.xe, g.ye)
 		if len(s.edges) == start {
 			continue
 		}
-		es := s.edges[start:]
-		lo := s.solver.LowerBound(len(g.xe), len(g.ye), es)
-		up := s.solver.UpperBound(len(g.xe), len(g.ye), es)
-		act = append(act, gb{gi: int32(gi), start: int32(start), end: int32(len(s.edges)), lo: lo, up: up})
-		bl += lo
+		up := s.solver.UpperBound(len(g.xe), len(g.ye), s.edges[start:])
+		s.act.act = append(s.act.act, gb{gi: int32(gi), start: int32(start), end: int32(len(s.edges)), up: up})
 		bu += up
+		if bu+rest < floor {
+			st.UBRejected++
+			return false
+		}
 	}
-	s.act.act = act
+	act := s.act.act
+	if bu < floor {
+		st.UBRejected++
+		return false
+	}
+	bl := 0.0
+	for i := range act {
+		a := &act[i]
+		g := gs[a.gi]
+		a.lo = s.solver.LowerBound(len(g.xe), len(g.ye), s.edges[a.start:a.end])
+		s.lbEvals++
+		bl += a.lo
+	}
 	if mathx.GE(bl, need) {
 		st.LBAccepted++
 		return true
