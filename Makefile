@@ -18,7 +18,7 @@ FUZZ_TARGETS = \
 
 # bin/kjoin-lint is declared phony so `go build` (itself incremental)
 # decides staleness, not make.
-.PHONY: all build test test-race lint lint-self analysis-test bin/kjoin-lint vet fuzz-smoke bench bench-json bench-build perf-smoke crash-smoke replication-smoke segment-smoke cluster-smoke reshard-smoke
+.PHONY: all build test test-race lint lint-self analysis-test bin/kjoin-lint vet fuzz-smoke bench bench-json bench-build bench-smoke perf-smoke crash-smoke replication-smoke segment-smoke cluster-smoke reshard-smoke
 
 all: build lint test
 
@@ -132,6 +132,20 @@ bench-json:
 # breaks the benchmark.
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) build ./... && $(GO) test -count=1 ./...
+
+# bench-smoke runs every benchmark workload end to end for two seconds,
+# untraced and traced, the way the performance pipeline invokes it: each
+# run must exit 0 (its last line is the JSON result with "correct":true).
+# bench-build proves the harness compiles against the engine; this proves
+# it still runs.
+BENCH_WORKLOADS = batch-filter batch-skew batch-verify serve-mixed serve-ingest cluster-mixed
+
+bench-smoke:
+	@set -e; for w in $(BENCH_WORKLOADS); do for t in 0 1; do \
+		echo "bench $$w trace=$$t"; \
+		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 2 --trace $$t) || { echo "$$out"; exit 1; }; \
+		echo "$$out" | tail -n 1 | grep -q '"correct":true' || { echo "$$out"; exit 1; }; \
+	done; done
 
 # perf-smoke is the CI-sized performance gate: the allocation-regression
 # tests (steady-state verification must stay at zero allocs per pair,

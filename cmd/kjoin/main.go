@@ -123,8 +123,11 @@ func main() {
 	}
 	fail(w.Flush())
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "objects=%d candidates=%d size_pruned=%d results=%d preprocess=%v probe=%v verify=%v\n",
-			stats.Objects, stats.Candidates, stats.SizePruned, len(pairs), stats.Preprocess, stats.Probe, stats.VerifyTime)
+		// No size_pruned: that counter belongs to the streaming engine's
+		// size gate (GET /stats). A batch join bounds sizes while it
+		// gathers, so every candidate it counts went to the verifier.
+		fmt.Fprintf(os.Stderr, "objects=%d candidates=%d count_pruned=%d results=%d preprocess=%v probe=%v verify=%v\n",
+			stats.Objects, stats.Candidates, stats.Verify.CountPruned, len(pairs), stats.Preprocess, stats.Probe, stats.VerifyTime)
 	}
 }
 

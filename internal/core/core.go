@@ -8,7 +8,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -16,7 +15,7 @@ import (
 
 	"kjoin/internal/elem"
 	"kjoin/internal/hierarchy"
-	"kjoin/internal/index"
+	"kjoin/internal/mathx"
 	"kjoin/internal/setmetric"
 	"kjoin/internal/sig"
 	"kjoin/internal/synonym"
@@ -136,15 +135,23 @@ type Pair struct {
 
 // Stats reports the work a join did.
 type Stats struct {
-	Objects    int           // total objects joined (|R| + |S| for R-S)
-	Candidates int64         // candidate pairs after prefix filtering
-	SizePruned int64         // candidates the size gate rejected before verification
+	Objects int // total objects joined (|R| + |S| for R-S)
+	// Candidates is the number of candidate pairs. In a batch join that
+	// is a pair sharing a prefix signature whose sizes can still reach τ
+	// (the size bound is part of the gather); in the streaming engine a
+	// pair sharing a prefix signature, before its size gate.
+	Candidates int64
+	// SizePruned counts the candidates the streaming engine's size gate
+	// rejected before verification. Batch joins never gather a pair the
+	// gate would reject, so there it is 0; Candidates == SizePruned +
+	// Verify.Pairs everywhere.
+	SizePruned int64
 	Preprocess time.Duration // resolution, signatures, order, prefixes
 	BuildIndex time.Duration // inverted index construction
 	Probe      time.Duration // candidate generation + verification
 	VerifyTime time.Duration // portion of Probe spent verifying
 	Verify     verify.Stats  // verification counters
-	AvgPrefix  float64       // mean prefix length per object
+	AvgPrefix  float64       // mean (probing) prefix length per object
 	SigEntries int64         // total signature entries generated
 }
 
@@ -152,7 +159,11 @@ type Stats struct {
 // sorted group-key multiset, key-ordered element column) and its prefix.
 type prepped struct {
 	verify.Prepared
-	prefix []int32 // deduplicated prefix signature ids
+	prefix []int32 // deduplicated prefix signature ids, in the global order
+	// ixLen is set by batch joins: prefix[:ixLen] is the indexing prefix,
+	// all a partner at least this object's size needs to find it by. The
+	// whole prefix is what the object probes with.
+	ixLen int32
 }
 
 // joiner holds the shared preprocessing state of a join.
@@ -171,14 +182,11 @@ type joiner struct {
 	// resolveAll. Indexed by elem.ID; grown as tokens are interned.
 	elemSeen  []int64
 	elemStamp int64
-	// Arenas backing the retained per-object slices (elems and their
-	// key-ordered copy, sorted keys) and the transient per-object entry
-	// lists; see reserve. One chunk allocation serves hundreds of objects
-	// where the seed allocated per object.
-	elemArena  []elem.ID
-	elemBuf    []elem.ID
-	keyArena   []sig.Sig
-	entryArena []sig.Entry
+	// elemArena backs the retained per-object element slices; see
+	// reserve. One chunk allocation serves hundreds of objects where the
+	// seed allocated per object.
+	elemArena []elem.ID
+	elemBuf   []elem.ID
 }
 
 // reserve carves room for n items from the arena and returns it as an
@@ -256,106 +264,105 @@ func (j *joiner) resolveAll(objects [][]string) []prepped {
 	return out
 }
 
-// entriesFor generates and returns the signature entries of every
-// object, and completes its verification form. Entry lists, sorted key
-// multisets and key-ordered columns are carved from the joiner's arenas:
-// each object's exact sizes are known from the warmed signature caches.
-func (j *joiner) entriesFor(objs []prepped) [][]sig.Entry {
-	all := make([][]sig.Entry, len(objs))
-	for i := range objs {
-		if i&1023 == 1023 && j.cc.Err() != nil {
-			return all // caller surfaces j.cc.Err()
+// dfOrder builds the global signature order over the collections from
+// their element lists and counts their signature entries. The signature
+// caches must be warm.
+func (j *joiner) dfOrder(colls ...[]prepped) *sig.Order {
+	df := j.sp.NewDFCounter()
+	for _, objs := range colls {
+		for i := range objs {
+			if i&1023 == 1023 && j.cc.Err() != nil {
+				break // caller surfaces j.cc.Err()
+			}
+			j.st.SigEntries += int64(df.Add(objs[i].Elems))
 		}
-		elems := objs[i].Elems
-		ne, nk := 0, 0
-		for _, e := range elems {
-			ne += j.sp.ElemSigCount(e)
-			nk += len(j.sp.GroupKeys(e))
-		}
-		all[i] = j.sp.AppendObjectSigs(reserve(&j.entryArena, ne), elems)
-		j.st.SigEntries += int64(ne)
-
-		var byKey []elem.ID
-		if nk == len(elems) { // one key per element: the column exists
-			byKey = reserve(&j.elemArena, nk)
-		}
-		objs[i].Prepared = j.ctx.Prepare(elems, reserve(&j.keyArena, nk), byKey)
 	}
-	return all
+	return df.Order()
 }
 
-// prefixes sorts each object's entries in the global order and computes
-// its prefix signature list. Objects are independent, so the work is
-// sharded across the configured workers (all shared state — the order,
-// the signature caches — is read-only here; each worker writes only its
-// own objects' slots).
-func (j *joiner) prefixes(objs []prepped, entries [][]sig.Entry, order *sig.Order) {
+// workerCount returns the number of goroutines to spread n items over.
+func (j *joiner) workerCount(n int) int {
 	workers := j.opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(objs) {
-		workers = len(objs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	return max(1, min(workers, n))
+}
+
+// prefixes completes every object: its verification form and its prefix
+// signature list, with the indexing prefix's length (the whole prefix
+// unless self). Each object's signature entries live only while its
+// prefix is cut. Objects are independent, so the work is sharded across
+// the configured workers (all shared state — the order, the signature
+// and group-key caches — is read-only here; each worker writes only its
+// own objects' slots and carves what they keep from arenas it owns).
+func (j *joiner) prefixes(objs []prepped, order *sig.Order, self bool) {
+	workers := j.workerCount(len(objs))
 	totals := make([]int, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			total := 0
 			// Per-worker signature stamp table: one allocation replaces a
-			// dedup map per object. Every signature in the entries was
-			// interned before this phase, so NumSigs bounds the ids.
+			// dedup map per object. Every signature was interned before
+			// this phase, so NumSigs bounds the ids.
 			seen := make([]int32, j.sp.NumSigs())
 			var stamp int32
-			// Per-worker prefix scratch and output arena: prefixes build
-			// into pbuf and are carved out of chunks this worker owns, so
-			// workers never contend and per-object allocation disappears.
 			var ps sig.PrefixScratch
-			var pbuf, arena []int32
-			for i := w; i < len(objs); i += workers {
-				if i&511 == 511 && j.cc.Err() != nil {
-					break // caller surfaces j.cc.Err()
-				}
-				en := entries[i]
-				order.Sort(en)
-				n := len(objs[i].Elems)
-				var p int
+			var en []sig.Entry
+			var pbuf, sigArena []int32
+			var keyArena []sig.Sig
+			var elemArena []elem.ID
+			// cut is the length of the prefix whose suffix cannot reach
+			// the given overlap (Definition 9, or Definitions 5/8 by
+			// distinct elements).
+			cut := func(overlap float64) int {
 				if j.opt.Weighted {
-					p = sig.WeightedPrefixS(en, j.opt.Set.MinOverlap(j.opt.Tau, n), &ps)
-				} else {
-					p = sig.DistElePrefixS(en, j.opt.Set.TauS(j.opt.Tau, n), &ps)
+					return sig.WeightedPrefixS(en, overlap, &ps)
 				}
-				stamp++
-				pbuf = pbuf[:0]
-				for _, e := range en[:p] {
+				return sig.DistElePrefixS(en, max(1, mathx.CeilInt(overlap)), &ps)
+			}
+			appendNew := func(entries []sig.Entry) {
+				for _, e := range entries {
 					if seen[e.Sig] != stamp {
 						seen[e.Sig] = stamp
 						pbuf = append(pbuf, int32(e.Sig))
 					}
 				}
-				if len(pbuf) > 0 {
-					if len(arena)+len(pbuf) > cap(arena) {
-						na := 2 * cap(arena)
-						if na < 256 {
-							na = 256
-						}
-						if na < len(pbuf) {
-							na = len(pbuf)
-						}
-						arena = make([]int32, 0, na)
-					}
-					s := len(arena)
-					arena = append(arena, pbuf...)
-					objs[i].prefix = arena[s:len(arena):len(arena)]
-				}
-				total += len(pbuf)
 			}
-			totals[w] = total
+			for i := w; i < len(objs); i += workers {
+				if i&511 == 511 && j.cc.Err() != nil {
+					break // caller surfaces j.cc.Err()
+				}
+				o := &objs[i]
+				n, nk := len(o.Elems), 0
+				for _, e := range o.Elems {
+					nk += len(j.sp.GroupKeys(e))
+				}
+				var byKey []elem.ID
+				if nk == n { // one key per element: the column exists
+					byKey = reserve(&elemArena, nk)
+				}
+				o.Prepared = j.ctx.Prepare(o.Elems, reserve(&keyArena, nk), byKey)
+
+				en = j.sp.AppendObjectSigs(en[:0], o.Elems)
+				order.SortS(en, &ps)
+				p := cut(j.opt.Set.MinOverlap(j.opt.Tau, n))
+				ix := p
+				if self {
+					ix = min(p, cut(j.opt.Set.PairOverlap(j.opt.Tau, n, n)))
+				}
+				stamp++
+				pbuf = pbuf[:0]
+				appendNew(en[:ix])
+				o.ixLen = int32(len(pbuf))
+				appendNew(en[ix:p])
+				if len(pbuf) > 0 {
+					o.prefix = append(reserve(&sigArena, len(pbuf)), pbuf...)
+				}
+				totals[w] += len(pbuf)
+			}
 		}(w)
 	}
 	wg.Wait()
@@ -366,6 +373,55 @@ func (j *joiner) prefixes(objs []prepped, entries [][]sig.Entry, order *sig.Orde
 	if len(objs) > 0 {
 		j.st.AvgPrefix = float64(totalPrefix) / float64(len(objs))
 	}
+}
+
+// rank builds the batch index over objs: a counting sort by size (stable,
+// so ties keep input order), then the postings of every object's
+// indexing prefix, counted and placed the same way. Ranks are placed in
+// ascending order, so every postings list comes out sorted.
+func (j *joiner) rank(objs []prepped) *ranked {
+	maxSize := 0
+	for i := range objs {
+		maxSize = max(maxSize, len(objs[i].Elems))
+	}
+	first := make([]int32, maxSize+2)
+	for i := range objs {
+		first[len(objs[i].Elems)+1]++
+	}
+	for n := 1; n < len(first); n++ {
+		first[n] += first[n-1]
+	}
+	rk := &ranked{objs: make([]prepped, len(objs)), input: make([]int32, len(objs)), first: first}
+	rk.off = make([]int32, j.sp.NumSigs()+1)
+	next := slices.Clone(first)
+	for i := range objs {
+		if i&1023 == 1023 && j.cc.Err() != nil {
+			return rk // caller surfaces j.cc.Err()
+		}
+		o := &objs[i]
+		r := next[len(o.Elems)]
+		next[len(o.Elems)]++
+		rk.objs[r], rk.input[r] = *o, int32(i)
+		for _, s := range o.prefix[:o.ixLen] {
+			rk.off[s+1]++
+		}
+	}
+	for s := 1; s < len(rk.off); s++ {
+		rk.off[s] += rk.off[s-1]
+	}
+	rk.post = make([]int32, rk.off[len(rk.off)-1])
+	next = slices.Clone(rk.off)
+	for r := range rk.objs {
+		if r&1023 == 1023 && j.cc.Err() != nil {
+			return rk // caller surfaces j.cc.Err()
+		}
+		o := &rk.objs[r]
+		for _, s := range o.prefix[:o.ixLen] {
+			rk.post[next[s]] = int32(r)
+			next[s]++
+		}
+	}
+	return rk
 }
 
 // SelfJoin finds all pairs (x, y), x < y, with SIMδ(x, y) ≥ τ within
@@ -394,12 +450,11 @@ func SelfJoinCtx(ctx context.Context, h *hierarchy.Hierarchy, objects [][]string
 	}
 	opt.progress("signatures", 0, len(objs))
 	j.sp.Warm(j.res.Len(), opt.Workers)
-	entries := j.entriesFor(objs)
+	order := j.dfOrder(objs)
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	order := sig.BuildOrder(entries)
-	j.prefixes(objs, entries, order)
+	j.prefixes(objs, order, true)
 	j.st.Preprocess = time.Since(t0)
 	j.st.Objects = len(objs)
 	if err := ctx.Err(); err != nil {
@@ -408,19 +463,13 @@ func SelfJoinCtx(ctx context.Context, h *hierarchy.Hierarchy, objects [][]string
 
 	t1 := time.Now()
 	opt.progress("index", 0, len(objs))
-	ix := index.New()
-	for i := range objs {
-		if i&1023 == 1023 && ctx.Err() != nil {
-			break // surfaced by the ctx.Err() check below
-		}
-		ix.AddAll(objs[i].prefix, int32(i))
-	}
+	rk := j.rank(objs)
 	j.st.BuildIndex = time.Since(t1)
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 
-	pairs := j.probe(objs, objs, ix, true, false)
+	pairs := j.probe(rk.objs, rk, true, false)
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -450,14 +499,12 @@ func JoinCtx(ctx context.Context, h *hierarchy.Hierarchy, r, s [][]string, opt O
 		return nil, nil, err
 	}
 	j.sp.Warm(j.res.Len(), opt.Workers)
-	rentries := j.entriesFor(robjs)
-	sentries := j.entriesFor(sobjs)
+	order := j.dfOrder(robjs, sobjs)
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	order := sig.BuildOrder(append(append([][]sig.Entry{}, rentries...), sentries...))
-	j.prefixes(robjs, rentries, order)
-	j.prefixes(sobjs, sentries, order)
+	j.prefixes(robjs, order, false)
+	j.prefixes(sobjs, order, false)
 	j.st.Preprocess = time.Since(t0)
 	j.st.Objects = len(robjs) + len(sobjs)
 	if err := ctx.Err(); err != nil {
@@ -472,19 +519,13 @@ func JoinCtx(ctx context.Context, h *hierarchy.Hierarchy, r, s [][]string, opt O
 		swapped = true
 	}
 	t1 := time.Now()
-	ix := index.New()
-	for i := range big {
-		if i&1023 == 1023 && ctx.Err() != nil {
-			break // surfaced by the ctx.Err() check below
-		}
-		ix.AddAll(big[i].prefix, int32(i))
-	}
+	rk := j.rank(big)
 	j.st.BuildIndex = time.Since(t1)
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 
-	pairs := j.probe(small, big, ix, false, swapped)
+	pairs := j.probe(small, rk, false, swapped)
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -500,33 +541,27 @@ type result struct {
 }
 
 // probe runs the candidate-generation + verification loop of a batch
-// join: every probe object is a candidate with each indexed object that
-// shares a prefix signature. In a self join (probes and indexed are the
-// same collection) only smaller-id objects qualify; in an R-S join
+// join: every probe object is a candidate with each indexed object inside
+// its size range that posts a signature of its prefix. In a self join
+// probes is the indexed collection itself, in rank order, and only lower
+// ranks qualify — each pair meets once, at its larger object, which is
+// what lets the smaller one index the shorter prefix. In an R-S join
 // probes is the smaller collection and probesAreR records which side of
 // the result pair it supplies.
-func (j *joiner) probe(probes, indexed []prepped, ix *index.Inverted, self, probesAreR bool) []Pair {
+func (j *joiner) probe(probes []prepped, rk *ranked, self, probesAreR bool) []Pair {
 	t0 := time.Now()
-	workers := j.opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(probes) {
-		workers = len(probes)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := j.workerCount(len(probes))
 
-	// The size column and the gate's table are built once and shared
-	// read-only by the workers.
-	sizes := sizeColumn(indexed)
+	// The gate's table is built once and shared read-only by the workers.
 	maxProbe := 0
 	for i := range probes {
 		maxProbe = max(maxProbe, len(probes[i].Elems))
 	}
 	gate := newSizeGate(&j.opt, maxProbe)
-	var src objSource = batchObjs(indexed)
+	var input []int32 // of a self join: run orients each pair by it
+	if self {
+		input = rk.input
+	}
 
 	results := make([]result, workers)
 	var wg sync.WaitGroup
@@ -544,7 +579,7 @@ func (j *joiner) probe(probes, indexed []prepped, ix *index.Inverted, self, prob
 			vctx := j.ctx.Clone()
 			vctx.Reserve(j.res.Len(), j.sp.NumSigs())
 			k := newKernel(vctx, &j.opt, gate)
-			k.seen = make([]int32, len(indexed))
+			k.seen = make([]int32, len(rk.objs))
 			var pairs []Pair
 			processed := 0
 			for x := w; x < len(probes); x += workers {
@@ -556,19 +591,23 @@ func (j *joiner) probe(probes, indexed []prepped, ix *index.Inverted, self, prob
 					break // join is cancelled; caller surfaces j.cc.Err()
 				}
 				px := &probes[x]
-				limit := int32(math.MaxInt32)
+				lo, hi := rk.interval(gate.bounds(len(px.Elems)))
 				if self {
-					limit = int32(x)
+					hi = int32(x) // x itself is inside its own size range
 				}
 				k.begin()
-				k.gather(ix, px.prefix, limit)
-				if !k.run(j.cc, px, src, sizes) {
+				k.gatherRanked(rk, px.prefix, lo, hi)
+				if !k.run(j.cc, px, rk, input, int32(x)) {
 					break // cancelled mid-object: abandon it whole
 				}
+				xin := x // the probe's index in its input collection
+				if self {
+					xin = int(rk.input[x])
+				}
 				for _, h := range k.hits {
-					p := Pair{X: int(h.id), Y: x, Sim: h.sim}
-					if probesAreR {
-						p.X, p.Y = x, int(h.id)
+					p := Pair{X: int(rk.input[h.id]), Y: xin, Sim: h.sim}
+					if probesAreR || (self && p.X > p.Y) {
+						p.X, p.Y = p.Y, p.X
 					}
 					pairs = append(pairs, p)
 				}

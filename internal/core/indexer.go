@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -192,7 +191,7 @@ func (ix *Indexer) prepObject(tokens []string) (prepped, int) {
 	entries := j.sp.AppendObjectSigs(ix.entryBuf[:0], p.Elems)
 	ix.entryBuf = entries
 	p.Prepared = j.ctx.Prepare(p.Elems, nil, nil)
-	ix.order.Sort(entries)
+	ix.order.SortS(entries, &ix.ps)
 	n := len(p.Elems)
 	var plen int
 	if j.opt.Weighted {
@@ -273,11 +272,11 @@ func (ix *Indexer) AddCtx(ctx context.Context, tokens []string) (int, []Pair, er
 			j.st.Probe += time.Since(t1)
 			return 0, nil, err
 		}
-		k.gather(seg.inv, p.prefix, math.MaxInt32)
+		k.gather(seg.inv, p.prefix)
 	}
-	k.gather(ix.memInv, p.prefix, math.MaxInt32)
+	k.gather(ix.memInv, p.prefix)
 	slices.Sort(k.cands)
-	done := k.run(ctx, &p, ix.view.Load(), nil)
+	done := k.run(ctx, &p, ix.view.Load(), nil, 0)
 	k.drainInto(&j.st)
 	if !done {
 		j.st.Probe += time.Since(t1)
@@ -382,7 +381,7 @@ func (ix *Indexer) runQuery(ctx context.Context, q *PreparedQuery, k *kernel) ([
 	slices.Sort(cands)
 	k.cands = slices.Compact(cands)
 
-	k.run(ctx, &q.p, v, nil)
+	k.run(ctx, &q.p, v, nil, 0)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -77,16 +78,32 @@ func (g *sizeGate) bounds(nx int) sizeRange {
 	return g.compute(nx)
 }
 
-// objSource resolves candidate ids to preprocessed objects: a batch
-// join's indexed collection or a pinned view of the streaming engine.
+// objSource resolves candidate ids to preprocessed objects: the ranks of
+// a batch join's index or a pinned view of the streaming engine.
 type objSource interface {
 	objAt(id int) *prepped
 }
 
-// batchObjs is the objSource of a batch join's indexed collection.
-type batchObjs []prepped
+// ranked is a batch join's index: the indexed collection in ascending
+// (size, input index) order — an object's position there is its rank —
+// and flat postings of ranks per prefix signature. Because ranks ascend
+// with size, a size range is a rank interval, and a postings list is cut
+// to it by one binary search: objects outside it are never touched.
+type ranked struct {
+	objs  []prepped // the collection in rank order
+	input []int32   // rank → input index
+	first []int32   // first[n] is the first rank of size ≥ n, n ≤ largest size + 1
+	off   []int32   // signature s posts post[off[s]:off[s+1]]
+	post  []int32   // ranks, ascending within a signature
+}
 
-func (b batchObjs) objAt(id int) *prepped { return &b[id] }
+func (rk *ranked) objAt(id int) *prepped { return &rk.objs[id] }
+
+// interval returns the ranks [lo, hi) of the objects whose sizes lie in r.
+func (rk *ranked) interval(r sizeRange) (lo, hi int32) {
+	last := int32(len(rk.first) - 1)
+	return rk.first[min(r.lo, last)], rk.first[min(r.hi, last-1)+1]
+}
 
 // probeCounts is the work a kernel did since it was last drained.
 type probeCounts struct {
@@ -112,10 +129,13 @@ type hit struct {
 }
 
 // kernel is the one candidate-rejection loop behind every probe: it
-// works a probe object's candidates as a batch through gather →
-// size-gate → verify. A kernel owns its verification context and
-// buffers, so each worker (and each pooled query) has its own; after
-// warm-up a batch allocates nothing.
+// works a probe object's candidates as a batch through gather → verify.
+// A batch join gathers from its ranked index, where the size bound is
+// the interval gathered; the streaming engine gathers from its inverted
+// segments and the size gate meets each candidate as it is fetched. A
+// kernel owns its verification context and buffers, so each worker (and
+// each pooled query) has its own; after warm-up a batch allocates
+// nothing.
 type kernel struct {
 	vctx        *verify.Context
 	verifier    verify.Kind
@@ -148,14 +168,33 @@ func (k *kernel) begin() {
 	k.stamp++
 }
 
-// gather appends the not yet seen object ids below limit that share a
-// prefix signature with the probe. Postings are ascending, so the first
-// id at or past the limit ends a list.
-func (k *kernel) gather(inv *index.Inverted, prefix []int32, limit int32) {
+// gather appends the not yet seen object ids that share a prefix
+// signature with the probe.
+func (k *kernel) gather(inv *index.Inverted, prefix []int32) {
 	seen, stamp, cands := k.seen, k.stamp, k.cands
 	for _, s := range prefix {
 		for _, y := range inv.Postings(s) {
-			if y >= limit {
+			if seen[y] != stamp {
+				seen[y] = stamp
+				cands = append(cands, y)
+			}
+		}
+	}
+	k.cands = cands
+}
+
+// gatherRanked appends the not yet seen ranks in [lo, hi) that post a
+// signature of the probe's prefix.
+func (k *kernel) gatherRanked(rk *ranked, prefix []int32, lo, hi int32) {
+	seen, stamp, cands := k.seen, k.stamp, k.cands
+	for _, s := range prefix {
+		list := rk.post[rk.off[s]:rk.off[s+1]]
+		if lo > 0 {
+			i, _ := slices.BinarySearch(list, lo)
+			list = list[i:]
+		}
+		for _, y := range list {
+			if y >= hi {
 				break
 			}
 			if seen[y] != stamp {
@@ -167,53 +206,45 @@ func (k *kernel) gather(inv *index.Inverted, prefix []int32, limit int32) {
 	k.cands = cands
 }
 
-// run gates and verifies the gathered candidates of probe object px,
-// leaving the similar ones in k.hits in candidate order. sizes, when
-// non-nil, is the dense size column of src's collection (batch joins):
-// the gate then rejects in a pass of its own without touching an
-// object. Without a column (the streaming engine, a handful of
-// candidates per probe) the gate reads each object's length as the
-// verify loop fetches it. It returns false if ctx was cancelled before
-// the batch finished. Counts stay consistent either way: candidates ==
-// sizePruned + vst.Pairs.
-func (k *kernel) run(ctx context.Context, px *prepped, src objSource, sizes []int32) bool {
+// run verifies the gathered candidates of probe object px, leaving the
+// similar ones in k.hits in candidate order. The size gate reads each
+// object's length as the loop fetches it; a ranked gather has left it
+// nothing to reject. input, when non-nil, maps the ids of a self join
+// (px is id x) to input indices: a pair is then verified and scored
+// with the later input first, whichever of the two probes. It returns
+// false if ctx was cancelled before the batch finished. Counts stay
+// consistent either way: candidates == sizePruned + vst.Pairs.
+func (k *kernel) run(ctx context.Context, px *prepped, src objSource, input []int32, x int32) bool {
 	r := k.gate.bounds(len(px.Elems))
-	live := k.cands
-	if sizes != nil {
-		// Compacts in place. The store is unconditional and the range
-		// check one unsigned compare so the loop carries no branch on the
-		// data: which candidates survive is close to a coin toss.
-		n, span := 0, uint32(r.hi-r.lo)
-		for _, y := range live {
-			live[n] = y
-			if uint32(sizes[y]-r.lo) <= span {
-				n++
-			}
-		}
-		live = live[:n]
+	var xin int32
+	if input != nil {
+		xin = input[x]
 	}
-	gated := len(k.cands) - len(live)
-	pruned, done := gated, 0
+	pruned, done := 0, 0
 	k.hits = k.hits[:0]
-	if len(live) > 0 {
+	if len(k.cands) > 0 {
 		// The clock is read once around the batch, not around each pair:
 		// at millions of pruned candidates the two reads cost more than
 		// the verification they timed.
 		t0 := time.Now()
-		for _, y := range live {
+		for _, y := range k.cands {
 			if done%cancelCheckEvery == cancelCheckEvery-1 && ctx.Err() != nil {
 				break
 			}
 			done++
 			oy := src.objAt(int(y))
-			if n := int32(len(oy.Elems)); sizes == nil && (n < r.lo || n > r.hi) {
+			if n := int32(len(oy.Elems)); n < r.lo || n > r.hi {
 				pruned++
 				continue
 			}
-			if k.vctx.VerifyPrepared(&px.Prepared, &oy.Prepared, k.verifier, &k.vst) {
+			a, b := px, oy
+			if input != nil && input[y] > xin {
+				a, b = oy, px
+			}
+			if k.vctx.VerifyPrepared(&a.Prepared, &b.Prepared, k.verifier, &k.vst) {
 				h := hit{id: y}
 				if k.computeSims {
-					h.sim = k.vctx.Similarity(px.Elems, oy.Elems)
+					h.sim = k.vctx.Similarity(a.Elems, b.Elems)
 				}
 				k.hits = append(k.hits, h)
 			}
@@ -221,15 +252,6 @@ func (k *kernel) run(ctx context.Context, px *prepped, src objSource, sizes []in
 		k.vtime += time.Since(t0)
 	}
 	k.sizePruned += int64(pruned)
-	k.candidates += int64(gated + done)
-	return done == len(live)
-}
-
-// sizeColumn returns the dense size column of a batch collection.
-func sizeColumn(objs []prepped) []int32 {
-	sizes := make([]int32, len(objs))
-	for i := range objs {
-		sizes[i] = int32(len(objs[i].Elems))
-	}
-	return sizes
+	k.candidates += int64(done)
+	return done == len(k.cands)
 }

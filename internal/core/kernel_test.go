@@ -3,16 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"kjoin/internal/hierarchy"
-	"kjoin/internal/index"
 	"kjoin/internal/mathx"
 	"kjoin/internal/setmetric"
-	"kjoin/internal/sig"
 )
 
 // TestSizeGateMatchesPredicate is the gate's soundness property: for
@@ -210,58 +207,60 @@ func TestEnginePrefixesAscending(t *testing.T) {
 }
 
 // batchState preprocesses objs the way SelfJoin does and returns the
-// joiner, the prepped objects and their inverted index.
-func batchState(h *hierarchy.Hierarchy, objects [][]string, opt Options) (*joiner, []prepped, *index.Inverted) {
+// joiner, the prepped objects in input order and their ranked index.
+func batchState(h *hierarchy.Hierarchy, objects [][]string, opt Options) (*joiner, []prepped, *ranked) {
 	j := newJoiner(h, opt)
 	objs := j.resolveAll(objects)
 	j.res.ResolveAll(opt.Workers)
 	j.sp.Warm(j.res.Len(), opt.Workers)
-	entries := j.entriesFor(objs)
-	j.prefixes(objs, entries, sig.BuildOrder(entries))
-	inv := index.New()
-	for i := range objs {
-		inv.AddAll(objs[i].prefix, int32(i))
-	}
-	return j, objs, inv
+	j.prefixes(objs, j.dfOrder(objs), true)
+	return j, objs, j.rank(objs)
 }
 
-// batchKernel returns a kernel over the batch state with the inputs of
-// its run calls.
-func batchKernel(j *joiner, objs []prepped) (*kernel, objSource, []int32) {
-	sizes := sizeColumn(objs)
-	k := newKernel(j.ctx.Clone(), &j.opt, newSizeGate(&j.opt, int(slices.Max(sizes))))
-	k.seen = make([]int32, len(objs))
-	return k, batchObjs(objs), sizes
+// batchKernel returns a kernel over the ranked index and a function
+// running one self-join batch, the probe of rank x, the way probe does.
+func batchKernel(j *joiner, rk *ranked) (*kernel, func(ctx context.Context, x int) bool) {
+	gate := newSizeGate(&j.opt, len(rk.first)-2)
+	k := newKernel(j.ctx.Clone(), &j.opt, gate)
+	k.seen = make([]int32, len(rk.objs))
+	return k, func(ctx context.Context, x int) bool {
+		px := &rk.objs[x]
+		lo, _ := rk.interval(gate.bounds(len(px.Elems)))
+		k.begin()
+		k.gatherRanked(rk, px.prefix, lo, int32(x))
+		return k.run(ctx, px, rk, rk.input, int32(x))
+	}
 }
 
 // TestKernelSteadyStateZeroAlloc pins the kernel's allocation contract:
 // once its buffers and verify scratch have grown to the workload, a
-// whole gather → size-gate → verify batch allocates nothing.
+// whole ranked-gather → verify batch allocates nothing.
 func TestKernelSteadyStateZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is not meaningful in -short mode")
 	}
 	h, objects := cancelWorkload(60, 400, 8)
 	for i := range objects {
-		objects[i] = objects[i][:1+i%8] // mixed sizes, so the gate has work
+		objects[i] = objects[i][:1+i%8] // mixed sizes, so the size bound has work
 	}
-	j, objs, inv := batchState(h, objects, Defaults(0.5, 0.4))
-	k, src, sizes := batchKernel(j, objs)
+	j, _, rk := batchState(h, objects, Defaults(0.5, 0.4))
+	k, batch := batchKernel(j, rk)
 	ctx := context.Background()
-	batch := func(x int) {
+	unbounded := 0 // what the prefixes gather with no size bound
+	for x := range rk.objs {
 		k.begin()
-		k.gather(inv, objs[x].prefix, int32(x))
-		k.run(ctx, &objs[x], src, sizes)
+		k.gatherRanked(rk, rk.objs[x].prefix, 0, int32(x))
+		unbounded += len(k.cands)
 	}
-	for x := range objs {
-		batch(x)
+	for x := range rk.objs {
+		batch(ctx, x)
 	}
-	if k.vst.Results == 0 || k.sizePruned == 0 || k.vst.CountPruned == 0 {
-		t.Fatalf("warm-up did not reach every stage: %+v", k.probeCounts)
+	if k.vst.Results == 0 || k.candidates >= int64(unbounded) || k.sizePruned != 0 || k.vst.CountPruned == 0 {
+		t.Fatalf("warm-up did not reach every stage (%d candidates without the size bound): %+v", unbounded, k.probeCounts)
 	}
 	x := 0
-	allocs := testing.AllocsPerRun(len(objs), func() {
-		batch(x % len(objs))
+	allocs := testing.AllocsPerRun(len(rk.objs), func() {
+		batch(ctx, x%len(rk.objs))
 		x++
 	})
 	if allocs != 0 {
@@ -287,20 +286,18 @@ func (c *countdownCtx) Err() error {
 // postings list), say so, and leave its counters consistent.
 func TestKernelCancelStopsWholeObject(t *testing.T) {
 	h, objects := cancelWorkload(20, 1500, 6)
-	j, objs, inv := batchState(h, objects, Defaults(0.5, 0.1))
-	k, src, sizes := batchKernel(j, objs)
-	x := len(objs) - 1
-	k.begin()
-	k.gather(inv, objs[x].prefix, math.MaxInt32)
+	j, _, rk := batchState(h, objects, Defaults(0.5, 0.1))
+	k, batch := batchKernel(j, rk)
+	x := len(rk.objs) - 1
+	if batch(&countdownCtx{Context: context.Background(), n: 2}, x) {
+		t.Fatal("run reported completion under a cancelled context")
+	}
 	gathered := len(k.cands)
 	if gathered < 4*cancelCheckEvery {
 		t.Fatalf("only %d candidates; need several cancellation checks' worth", gathered)
 	}
-	if k.run(&countdownCtx{Context: context.Background(), n: 2}, &objs[x], src, sizes) {
-		t.Fatal("run reported completion under a cancelled context")
-	}
-	if k.vst.Pairs == 0 || k.vst.Pairs >= int64(gathered)-k.sizePruned {
-		t.Errorf("verified %d of %d gated candidates; want a strict, non-empty part", k.vst.Pairs, int64(gathered)-k.sizePruned)
+	if k.vst.Pairs == 0 || k.vst.Pairs >= int64(gathered) {
+		t.Errorf("verified %d of %d candidates; want a strict, non-empty part", k.vst.Pairs, gathered)
 	}
 	checkFunnel(t, "cancelled batch", k.candidates, k.sizePruned, k.vst.Pairs)
 }

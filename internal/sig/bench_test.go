@@ -75,3 +75,22 @@ func BenchmarkBuildOrder(b *testing.B) {
 		BuildOrder(all)
 	}
 }
+
+// BenchmarkOrderSort sorts each object's entry list in the global order,
+// the dominant step of prefix building.
+func BenchmarkOrderSort(b *testing.B) {
+	b.ReportAllocs()
+	sp, objs := benchSetup(b, Deep)
+	all := make([][]Entry, len(objs))
+	for i := range objs {
+		all[i] = sp.ObjectSigs(objs[i])
+	}
+	order := BuildOrder(all)
+	var buf []Entry
+	var ps PrefixScratch
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = append(buf[:0], all[i%len(all)]...)
+		order.SortS(buf, &ps)
+	}
+}

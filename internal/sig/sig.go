@@ -469,13 +469,44 @@ func (sp *Space) AppendObjectSigs(dst []Entry, elems []elem.ID) []Entry {
 // table is dense (indexed by Sig); ids beyond it have frequency zero.
 type Order struct {
 	df []int32
+	// key is the order as one dense column, so that sorting compares
+	// integers: a signature of df zero keeps its id (ids beyond the table
+	// do too), one of positive df gets 1<<31 plus its position among
+	// those, by (df, id). Ids are below 1<<31, so keys order signatures
+	// exactly as (df, id) does.
+	key []uint32
+}
+
+// newOrder ranks a dense df table: a counting sort by df, in id order
+// within one df.
+func newOrder(df []int32) *Order {
+	var next []uint32 // next[d]: the position of the next signature of df d
+	for _, d := range df {
+		for int(d) >= len(next) {
+			next = append(next, 0)
+		}
+		next[d]++
+	}
+	pos := uint32(1 << 31)
+	for d := 1; d < len(next); d++ {
+		next[d], pos = pos, pos+next[d]
+	}
+	key := make([]uint32, len(df))
+	for s, d := range df {
+		if key[s] = uint32(s); d > 0 {
+			key[s] = next[d]
+			next[d]++
+		}
+	}
+	return &Order{df: df, key: key}
 }
 
 // BuildOrder counts, for every signature, the number of objects whose
 // signature set contains it (each object counts once per signature), over
 // all the given objects — for an R-S join pass both collections. The
 // count runs over a stamp table instead of per-object maps, so building
-// the order costs two allocations regardless of collection size.
+// the order costs a fixed number of allocations regardless of collection
+// size.
 func BuildOrder(objects [][]Entry) *Order {
 	maxSig := Sig(-1)
 	for _, entries := range objects {
@@ -496,49 +527,98 @@ func BuildOrder(objects [][]Entry) *Order {
 			}
 		}
 	}
-	return &Order{df: df}
+	return newOrder(df)
 }
 
-// freq returns the document frequency of s (zero beyond the built range
-// — signatures first seen after BuildOrder, or an empty order).
-func (o *Order) freq(s Sig) int32 {
-	if int(s) < len(o.df) {
-		return o.df[s]
+// DFCounter builds the same order as BuildOrder straight from element
+// lists: it walks the space's per-element signature cache, so no entry
+// list is ever materialised. Its tables are sized by NumSigs when it is
+// created, so every element it will see must have been warmed first.
+type DFCounter struct {
+	sp       *Space
+	df, seen []int32
+	stamp    int32
+}
+
+// NewDFCounter returns an empty counter over the space's signatures.
+func (sp *Space) NewDFCounter() *DFCounter {
+	return &DFCounter{sp: sp, df: make([]int32, sp.NumSigs()), seen: make([]int32, sp.NumSigs())}
+}
+
+// Add counts one object and returns the number of signature entries it
+// has (the length ObjectSigs would return for it).
+func (c *DFCounter) Add(elems []elem.ID) int {
+	c.stamp++
+	n := 0
+	for _, e := range elems {
+		sigs := c.sp.elemSigs(e)
+		n += len(sigs)
+		for _, sw := range sigs {
+			if c.seen[sw.s] != c.stamp {
+				c.seen[sw.s] = c.stamp
+				c.df[sw.s]++
+			}
+		}
 	}
-	return 0
+	return n
+}
+
+// Order returns the order over the objects added so far.
+func (c *DFCounter) Order() *Order { return newOrder(c.df) }
+
+// sortKey returns the position of s in the order (its id beyond the
+// built range — signatures first seen after BuildOrder, or an empty
+// order).
+func (o *Order) sortKey(s Sig) uint32 {
+	if int(s) < len(o.key) {
+		return o.key[s]
+	}
+	return uint32(s)
 }
 
 // Less reports whether signature a precedes b in the global order.
-func (o *Order) Less(a, b Sig) bool {
-	da, db := o.freq(a), o.freq(b)
-	if da != db {
-		return da < db
-	}
-	return a < b
-}
+func (o *Order) Less(a, b Sig) bool { return o.sortKey(a) < o.sortKey(b) }
 
 // Sort sorts entries by the global order (rarest signatures first).
 // Entries of the same signature stay adjacent; ties break on element
-// index for determinism. The (Sig, Elem) pairs of an object's entry
-// list are unique, so the order is total and the permutation is the
-// same under any sorting algorithm; slices.SortFunc avoids both the
-// reflection-based swapper of sort.Slice and the interface-escape
-// allocation of sort.Sort in the prefix-build hot loop.
+// index for determinism. It allocates its workspace; loops use SortS.
 func (o *Order) Sort(entries []Entry) {
-	slices.SortFunc(entries, func(a, b Entry) int {
-		if a.Sig != b.Sig {
-			da, db := o.freq(a.Sig), o.freq(b.Sig)
-			if da != db {
-				return int(da - db)
-			}
-			return int(a.Sig - b.Sig)
-		}
-		return int(a.Elem - b.Elem)
-	})
+	ps := PrefixScratch{words: make([]uint64, 0, len(entries)), moved: make([]Entry, 0, len(entries))}
+	o.SortS(entries, &ps)
+}
+
+// SortS is Sort over a caller-owned scratch. It sorts one word per entry
+// — the signature's key above the entry's position — and then moves the
+// entries. Entry lists are generated element by element (and are put in
+// that order if not), so among entries of one signature position order
+// is element order; the (Sig, Elem) pairs of an object are unique, so
+// the order is total.
+func (o *Order) SortS(entries []Entry, ps *PrefixScratch) {
+	ps.words = ps.words[:0]
+	inOrder := true
+	for i, e := range entries {
+		inOrder = inOrder && (i == 0 || entries[i-1].Elem <= e.Elem)
+		ps.words = append(ps.words, uint64(o.sortKey(e.Sig))<<32|uint64(i))
+	}
+	if !inOrder {
+		slices.SortFunc(entries, func(a, b Entry) int { return int(a.Elem - b.Elem) })
+		o.SortS(entries, ps)
+		return
+	}
+	ps.moved = append(ps.moved[:0], entries...)
+	slices.Sort(ps.words)
+	for i, w := range ps.words {
+		entries[i] = ps.moved[uint32(w)]
+	}
 }
 
 // DF returns the document frequency of s under the order.
-func (o *Order) DF(s Sig) int { return int(o.freq(s)) }
+func (o *Order) DF(s Sig) int {
+	if int(s) < len(o.df) {
+		return int(o.df[s])
+	}
+	return 0
+}
 
 // DistElePrefix returns the prefix length p of entries (sorted by the
 // global order) such that entries[:p] is the (node or path) prefix of
@@ -610,14 +690,18 @@ func WeightedPrefixS(entries []Entry, minOverlap float64, ps *PrefixScratch) int
 	return len(entries)
 }
 
-// PrefixScratch is the reusable state of the prefix-length computations:
-// an epoch-stamped dense table keyed by element index within the object.
-// Bumping the stamp invalidates the whole table; a slot is live only when
-// its stamp matches, reproducing the seed's per-call map semantics.
+// PrefixScratch is the reusable state of prefix building: for the
+// prefix-length computations an epoch-stamped dense table keyed by
+// element index within the object (bumping the stamp invalidates the
+// whole table; a slot is live only when its stamp matches, reproducing
+// the seed's per-call map semantics), and SortS's sort words and copy of
+// the entries.
 type PrefixScratch struct {
 	stamp int32
 	seen  []int32
 	best  []float64
+	words []uint64
+	moved []Entry
 }
 
 func (ps *PrefixScratch) grow(n int) {

@@ -1,6 +1,9 @@
 package sig
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -470,5 +473,79 @@ func TestOrderDeterminism(t *testing.T) {
 func TestSchemeString(t *testing.T) {
 	if Node.String() != "node" || Shallow.String() != "shallow" || Deep.String() != "deep" || Scheme(9).String() != "unknown" {
 		t.Error("Scheme.String mismatch")
+	}
+}
+
+// TestOrderSortMatchesDfThenID pins the packed sort key against the
+// definition it replaces: ascending df, then signature id, then element
+// index — for signatures inside the df table, beyond it (df 0, as the
+// engine's empty order sees every signature) and a mix of both.
+func TestOrderSortMatchesDfThenID(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		df := make([]int32, r.Intn(40))
+		for s := range df {
+			df[s] = int32(r.Intn(4)) // many ties, many zeros
+		}
+		order := newOrder(df)
+		freq := func(s Sig) int32 {
+			if int(s) < len(df) {
+				return df[s]
+			}
+			return 0
+		}
+		var entries []Entry
+		for e := 0; e < 1+r.Intn(6); e++ {
+			for _, s := range r.Perm(60)[:1+r.Intn(8)] {
+				entries = append(entries, Entry{Sig: Sig(s), W: r.Float64(), Elem: int32(e)})
+			}
+		}
+		if trial%2 == 1 { // not in generation order: Sort must not care
+			r.Shuffle(len(entries), func(i, k int) { entries[i], entries[k] = entries[k], entries[i] })
+		}
+		want := slices.Clone(entries)
+		slices.SortFunc(want, func(a, b Entry) int {
+			return cmp.Or(cmp.Compare(freq(a.Sig), freq(b.Sig)), cmp.Compare(a.Sig, b.Sig), cmp.Compare(a.Elem, b.Elem))
+		})
+		order.Sort(entries)
+		if !slices.Equal(entries, want) {
+			t.Fatalf("trial %d (df %v):\n got  %v\n want %v", trial, df, entries, want)
+		}
+		for i := 1; i < len(want); i++ {
+			a, b := want[i-1].Sig, want[i].Sig
+			if a != b && (!order.Less(a, b) || order.Less(b, a)) {
+				t.Fatalf("trial %d: Less(%d, %d) disagrees with the sort", trial, a, b)
+			}
+		}
+		for s := Sig(0); s < 60; s++ {
+			if order.DF(s) != int(freq(s)) {
+				t.Fatalf("trial %d: DF(%d) = %d, want %d", trial, s, order.DF(s), freq(s))
+			}
+		}
+	}
+}
+
+// TestDFCounterMatchesBuildOrder: counting df from element lists gives
+// the order BuildOrder gives from the materialised entry lists, and Add
+// reports each object's entry count.
+func TestDFCounterMatchesBuildOrder(t *testing.T) {
+	for _, scheme := range []Scheme{Node, Shallow, Deep} {
+		sp, r, objs := table1Space(t, 0.7, scheme)
+		r.ResolveAll(1)
+		sp.Warm(r.Len(), 2)
+		all := make([][]Entry, len(objs))
+		c := sp.NewDFCounter()
+		for i, o := range objs {
+			all[i] = sp.ObjectSigs(o)
+			if n := c.Add(o); n != len(all[i]) {
+				t.Errorf("%v S%d: Add reports %d entries, ObjectSigs has %d", scheme, i+1, n, len(all[i]))
+			}
+		}
+		got, want := c.Order(), BuildOrder(all)
+		for s := Sig(0); int(s) < sp.NumSigs(); s++ {
+			if got.sortKey(s) != want.sortKey(s) {
+				t.Errorf("%v: signature %d has key %#x, BuildOrder gives %#x", scheme, s, got.sortKey(s), want.sortKey(s))
+			}
+		}
 	}
 }

@@ -1,10 +1,13 @@
 package verify
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"kjoin/internal/mathx"
+	"kjoin/internal/setmetric"
 	"kjoin/internal/sig"
 )
 
@@ -62,6 +65,35 @@ func TestCountReachesMatchesCountBound(t *testing.T) {
 			if got := countReaches(xk, yk, need); got != (want >= need) {
 				t.Fatalf("countReaches(%v, %v, %d) = %v, countBound = %d", xk, yk, need, got, want)
 			}
+		}
+	}
+}
+
+// TestPairNeedMemo: the memoised required overlap is the float (and the
+// ceiling) a fresh computation gives, whatever was asked before — runs of
+// equal sizes, swapped sizes, two empty objects first, and a Context
+// whose τ or set metric changed between calls.
+func TestPairNeedMemo(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	c := &Context{Set: setmetric.Jaccard, Tau: 0.6}
+	s := c.scratch()
+	nx, ny := 0, 0
+	for i := 0; i < 5000; i++ {
+		switch r.Intn(6) {
+		case 0:
+			nx, ny = ny, nx
+		case 1:
+			nx, ny = r.Intn(9), r.Intn(9)
+		case 2:
+			c.Tau = []float64{0.3, 0.6, 1}[r.Intn(3)]
+		case 3:
+			c.Set = []setmetric.Kind{setmetric.Jaccard, setmetric.Dice, setmetric.Cosine}[r.Intn(3)]
+		}
+		need, ceil := s.pairNeed(c, nx, ny)
+		want := c.Set.PairOverlap(c.Tau, nx, ny)
+		if math.Float64bits(need) != math.Float64bits(want) || ceil != mathx.CeilInt(want) {
+			t.Fatalf("step %d: %v τ=%v sizes %d, %d: memo gives %v ⌈%d⌉, want %v ⌈%d⌉",
+				i, c.Set, c.Tau, nx, ny, need, ceil, want, mathx.CeilInt(want))
 		}
 	}
 }

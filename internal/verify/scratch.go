@@ -15,6 +15,8 @@ import (
 
 	"kjoin/internal/elem"
 	"kjoin/internal/matching"
+	"kjoin/internal/mathx"
+	"kjoin/internal/setmetric"
 	"kjoin/internal/sig"
 )
 
@@ -237,6 +239,17 @@ type Scratch struct {
 	lbEvals int64
 
 	sims simCache
+
+	// need memoises the overlap the last verified pair had to reach and
+	// its ceiling, keyed by everything they are computed from: a join
+	// meets candidates in runs of equal sizes.
+	need struct {
+		set    setmetric.Kind
+		tau    float64
+		nx, ny int
+		val    float64
+		ceil   int
+	}
 }
 
 // NewScratch returns an empty scratch workspace.
@@ -254,6 +267,18 @@ func (s *Scratch) reserve(nElems, nSigs int) {
 		t.floor = nElems
 	}
 	s.sims.bits = uint(min(bits.Len(uint(8*nElems)), simCacheMaxBits))
+}
+
+// pairNeed returns c.Set.PairOverlap(c.Tau, nx, ny) and its robust
+// ceiling. The zero memo is right as it stands: no overlap is needed at
+// τ = 0.
+func (s *Scratch) pairNeed(c *Context, nx, ny int) (float64, int) {
+	if m := &s.need; m.nx != nx || m.ny != ny || mathx.Cmp(m.tau, c.Tau) != 0 || m.set != c.Set {
+		m.set, m.tau, m.nx, m.ny = c.Set, c.Tau, nx, ny
+		m.val = c.Set.PairOverlap(c.Tau, nx, ny)
+		m.ceil = mathx.CeilInt(m.val)
+	}
+	return s.need.val, s.need.ceil
 }
 
 // find is the union-find lookup of groups(): path-halving iterative

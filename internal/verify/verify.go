@@ -468,8 +468,9 @@ func (c *Context) Verify(x, y []elem.ID, kind Kind, st *Stats) bool {
 // decided by the full sum in the eager ladder's order.
 func (c *Context) VerifyPrepared(x, y *Prepared, kind Kind, st *Stats) bool {
 	st.Pairs++
-	need := c.Set.PairOverlap(c.Tau, len(x.Elems), len(y.Elems))
-	if x.Keys != nil && y.Keys != nil && !countReaches(x.Keys, y.Keys, mathx.CeilInt(need)) {
+	s := c.scratch()
+	need, needCeil := s.pairNeed(c, len(x.Elems), len(y.Elems))
+	if x.Keys != nil && y.Keys != nil && !countReaches(x.Keys, y.Keys, needCeil) {
 		st.CountPruned++
 		return false
 	}
@@ -477,7 +478,6 @@ func (c *Context) VerifyPrepared(x, y *Prepared, kind Kind, st *Stats) bool {
 	slack := 4 * n * n * 0x1p-52
 	floor := need - mathx.Eps - slack
 
-	s := c.scratch()
 	// weighted: Lemma 4 is still to be decided over the groups.
 	weighted, walked := kind != Basic, false
 	if weighted && x.ByKey != nil && y.ByKey != nil {
