@@ -18,7 +18,7 @@ FUZZ_TARGETS = \
 
 # bin/kjoin-lint is declared phony so `go build` (itself incremental)
 # decides staleness, not make.
-.PHONY: all build test test-race lint lint-self analysis-test bin/kjoin-lint vet fuzz-smoke bench bench-json bench-build bench-smoke perf-smoke crash-smoke replication-smoke segment-smoke cluster-smoke reshard-smoke
+.PHONY: all build test test-race fmt-check lint lint-self analysis-test bin/kjoin-lint vet fuzz-smoke bench bench-json bench-build bench-smoke perf-smoke crash-smoke replication-smoke segment-smoke cluster-smoke reshard-smoke
 
 all: build lint test
 
@@ -32,12 +32,18 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# lint runs go vet plus the project's own invariant analyzers
-# (cmd/kjoin-lint): lockcheck, ctxpoll, floateq, maporder, errform,
-# lockorder, ackorder, syncerr, goleak. The driver is built once so the
-# module-wide pass (which loads every package for facts) isn't paying a
-# `go run` rebuild on top.
-lint: vet bin/kjoin-lint
+# fmt-check fails on any .go file gofmt would rewrite, build outputs
+# (.bench_build/ holds checkouts of other commits) aside.
+fmt-check:
+	@out=$$(find . -name '*.go' -not -path './.bench_build/*' -not -path './bin/*' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# lint runs the formatting gate, go vet and the project's own invariant
+# analyzers (cmd/kjoin-lint): lockcheck, ctxpoll, floateq, maporder,
+# errform, lockorder, ackorder, syncerr, goleak. The driver is built once
+# so the module-wide pass (which loads every package for facts) isn't
+# paying a `go run` rebuild on top.
+lint: fmt-check vet bin/kjoin-lint
 	./bin/kjoin-lint ./...
 
 # lint-self runs the analyzers over the analysis framework itself —
@@ -150,12 +156,13 @@ bench-smoke:
 # perf-smoke is the CI-sized performance gate: the allocation-regression
 # tests (steady-state verification must stay at zero allocs per pair,
 # the probe kernel at zero per batch), the ladder-laziness test (a pair
-# the upper bound rejects pays for no lower bound)
+# the upper bound rejects pays for no lower bound), the sketch gate's hit
+# rate (a hash or layout change that blunts it fails nothing else)
 # plus one iteration of each hot benchmark to catch bit-rot in the bench
 # code itself. MixedAddQuery covers the segmented engine's concurrent
 # add/query path.
 perf-smoke:
-	$(GO) test ./internal/verify/ ./internal/core/ -run 'ZeroAlloc|LadderLazy' -count=1
+	$(GO) test ./internal/verify/ ./internal/core/ -run 'ZeroAlloc|LadderLazy|SketchGatePrecision' -count=1
 	$(GO) test -bench 'SelfJoinPOI|Similarity|MixedAddQuery' -benchtime=1x -benchmem -run='^$$' .
 	$(GO) test -bench . -benchtime=1x -benchmem -run='^$$' ./internal/verify/ ./internal/sig/
 

@@ -126,7 +126,10 @@ func main() {
 		// No size_pruned: that counter belongs to the streaming engine's
 		// size gate (GET /stats). A batch join bounds sizes while it
 		// gathers, so every candidate it counts went to the verifier.
-		fmt.Fprintf(os.Stderr, "objects=%d candidates=%d count_pruned=%d results=%d preprocess=%v probe=%v verify=%v\n",
+		// verify_cpu is summed over the workers (it can exceed probe, which
+		// is wall time) and leaves out the count-pruned pairs the gather
+		// settled from its sketch column.
+		fmt.Fprintf(os.Stderr, "objects=%d candidates=%d count_pruned=%d results=%d preprocess=%v probe=%v verify_cpu=%v\n",
 			stats.Objects, stats.Candidates, stats.Verify.CountPruned, len(pairs), stats.Preprocess, stats.Probe, stats.VerifyTime)
 	}
 }

@@ -148,11 +148,16 @@ type Stats struct {
 	SizePruned int64
 	Preprocess time.Duration // resolution, signatures, order, prefixes
 	BuildIndex time.Duration // inverted index construction
-	Probe      time.Duration // candidate generation + verification
-	VerifyTime time.Duration // portion of Probe spent verifying
-	Verify     verify.Stats  // verification counters
-	AvgPrefix  float64       // mean (probing) prefix length per object
-	SigEntries int64         // total signature entries generated
+	Probe      time.Duration // candidate generation + verification (wall)
+	// VerifyTime is the time the probe workers spent in their verification
+	// loops, summed over the workers: CPU time, which on several cores
+	// exceeds the share of Probe (wall time) it accounts for. A batch join
+	// settles most count-pruned pairs while gathering, from the index's
+	// key-sketch column; those are in Verify's counters but not in here.
+	VerifyTime time.Duration
+	Verify     verify.Stats // verification counters
+	AvgPrefix  float64      // mean (probing) prefix length per object
+	SigEntries int64        // total signature entries generated
 }
 
 // prepped is one preprocessed object: its verification form (elements,
@@ -378,7 +383,8 @@ func (j *joiner) prefixes(objs []prepped, order *sig.Order, self bool) {
 // rank builds the batch index over objs: a counting sort by size (stable,
 // so ties keep input order), then the postings of every object's
 // indexing prefix, counted and placed the same way. Ranks are placed in
-// ascending order, so every postings list comes out sorted.
+// ascending order, so every postings list comes out sorted. The placing
+// pass also fills the key-sketch column the gather prunes by.
 func (j *joiner) rank(objs []prepped) *ranked {
 	maxSize := 0
 	for i := range objs {
@@ -392,6 +398,7 @@ func (j *joiner) rank(objs []prepped) *ranked {
 		first[n] += first[n-1]
 	}
 	rk := &ranked{objs: make([]prepped, len(objs)), input: make([]int32, len(objs)), first: first}
+	rk.sketch = make([]sketchRow, len(objs))
 	rk.off = make([]int32, j.sp.NumSigs()+1)
 	next := slices.Clone(first)
 	for i := range objs {
@@ -416,6 +423,7 @@ func (j *joiner) rank(objs []prepped) *ranked {
 			return rk // caller surfaces j.cc.Err()
 		}
 		o := &rk.objs[r]
+		rk.sketch[r] = sketchRow{verify.KeySketch(o.Keys), int32(len(o.Keys)), int32(len(o.Elems))}
 		for _, s := range o.prefix[:o.ixLen] {
 			rk.post[next[s]] = int32(r)
 			next[s]++
@@ -596,7 +604,7 @@ func (j *joiner) probe(probes []prepped, rk *ranked, self, probesAreR bool) []Pa
 					hi = int32(x) // x itself is inside its own size range
 				}
 				k.begin()
-				k.gatherRanked(rk, px.prefix, lo, hi)
+				k.gatherRanked(rk, px, lo, hi)
 				if !k.run(j.cc, px, rk, input, int32(x)) {
 					break // cancelled mid-object: abandon it whole
 				}

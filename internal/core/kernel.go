@@ -90,11 +90,21 @@ type objSource interface {
 // with size, a size range is a rank interval, and a postings list is cut
 // to it by one binary search: objects outside it are never touched.
 type ranked struct {
-	objs  []prepped // the collection in rank order
-	input []int32   // rank → input index
-	first []int32   // first[n] is the first rank of size ≥ n, n ≤ largest size + 1
-	off   []int32   // signature s posts post[off[s]:off[s+1]]
-	post  []int32   // ranks, ascending within a signature
+	objs   []prepped   // the collection in rank order
+	sketch []sketchRow // per rank, what the gather reads instead of objs
+	input  []int32     // rank → input index
+	first  []int32     // first[n] is the first rank of size ≥ n, n ≤ largest size + 1
+	off    []int32     // signature s posts post[off[s]:off[s+1]]
+	post   []int32     // ranks, ascending within a signature
+}
+
+// sketchRow is one object's row of the index's key-sketch column: the 16
+// bytes from which the gather takes count pruning's verdict on most
+// candidates (verify.SketchBound) without fetching the object.
+type sketchRow struct {
+	bits  uint64 // verify.KeySketch(Keys)
+	nKeys int32  // len(Keys)
+	size  int32  // len(Elems)
 }
 
 func (rk *ranked) objAt(id int) *prepped { return &rk.objs[id] }
@@ -131,8 +141,9 @@ type hit struct {
 // kernel is the one candidate-rejection loop behind every probe: it
 // works a probe object's candidates as a batch through gather → verify.
 // A batch join gathers from its ranked index, where the size bound is
-// the interval gathered; the streaming engine gathers from its inverted
-// segments and the size gate meets each candidate as it is fetched. A
+// the interval gathered and the key-sketch column settles most of count
+// pruning; the streaming engine gathers from its inverted segments and
+// the size gate meets each candidate as it is fetched. A
 // kernel owns its verification context and buffers, so each worker (and
 // each pooled query) has its own; after warm-up a batch allocates
 // nothing.
@@ -152,6 +163,16 @@ type kernel struct {
 	cands []int32 // the current probe's candidate ids
 	hits  []hit   // the current probe's verified-similar candidates
 	probeCounts
+
+	// need[n] is the ceiling of the overlap a probe of needFor elements
+	// and a candidate of n must reach: Scratch.pairNeed's, which is
+	// symmetric in the two sizes, tabulated up to the largest indexed
+	// size the probe's size range admits.
+	need    []int32
+	needFor int
+	// sketchPruned is the part of vst.CountPruned that gatherRanked
+	// decided from the sketch column (tests pin the gate's hit rate).
+	sketchPruned int64
 }
 
 func newKernel(vctx *verify.Context, opt *Options, gate *sizeGate) *kernel {
@@ -184,10 +205,23 @@ func (k *kernel) gather(inv *index.Inverted, prefix []int32) {
 }
 
 // gatherRanked appends the not yet seen ranks in [lo, hi) that post a
-// signature of the probe's prefix.
-func (k *kernel) gatherRanked(rk *ranked, prefix []int32, lo, hi int32) {
-	seen, stamp, cands := k.seen, k.stamp, k.cands
-	for _, s := range prefix {
+// signature of px's prefix and whose key sketch does not already settle
+// count pruning (Lemma 3) against them. A rank the sketch settles is a
+// candidate like any other, verified and count-pruned: it is booked here
+// as VerifyPrepared would have booked it, so no counter can tell the two
+// apart — only its object is never fetched. hi must not pass the end of
+// px's size range: no larger size has a row in the need table.
+func (k *kernel) gatherRanked(rk *ranked, px *prepped, lo, hi int32) {
+	if nx := len(px.Elems); nx != k.needFor {
+		k.needFor, k.need = nx, k.need[:0]
+		top := min(int(k.gate.bounds(nx).hi), len(rk.first)-2)
+		for ny := 0; ny <= top; ny++ {
+			k.need = append(k.need, int32(mathx.CeilInt(k.vctx.Set.PairOverlap(k.vctx.Tau, nx, ny))))
+		}
+	}
+	bx, nkx, need := verify.KeySketch(px.Keys), len(px.Keys), k.need
+	seen, stamp, cands, settled := k.seen, k.stamp, k.cands, int64(0)
+	for _, s := range px.prefix {
 		list := rk.post[rk.off[s]:rk.off[s+1]]
 		if lo > 0 {
 			i, _ := slices.BinarySearch(list, lo)
@@ -197,13 +231,22 @@ func (k *kernel) gatherRanked(rk *ranked, prefix []int32, lo, hi int32) {
 			if y >= hi {
 				break
 			}
-			if seen[y] != stamp {
-				seen[y] = stamp
-				cands = append(cands, y)
+			if seen[y] == stamp {
+				continue
 			}
+			seen[y] = stamp
+			if r := &rk.sketch[y]; verify.SketchBound(bx, nkx, r.bits, int(r.nKeys)) < int(need[r.size]) {
+				settled++
+				continue
+			}
+			cands = append(cands, y)
 		}
 	}
 	k.cands = cands
+	k.candidates += settled
+	k.vst.Pairs += settled
+	k.vst.CountPruned += settled
+	k.sketchPruned += settled
 }
 
 // run verifies the gathered candidates of probe object px, leaving the

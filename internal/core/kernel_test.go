@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"kjoin/internal/dataset"
 	"kjoin/internal/hierarchy"
 	"kjoin/internal/mathx"
 	"kjoin/internal/setmetric"
@@ -227,7 +228,7 @@ func batchKernel(j *joiner, rk *ranked) (*kernel, func(ctx context.Context, x in
 		px := &rk.objs[x]
 		lo, _ := rk.interval(gate.bounds(len(px.Elems)))
 		k.begin()
-		k.gatherRanked(rk, px.prefix, lo, int32(x))
+		k.gatherRanked(rk, px, lo, int32(x))
 		return k.run(ctx, px, rk, rk.input, int32(x))
 	}
 }
@@ -246,16 +247,19 @@ func TestKernelSteadyStateZeroAlloc(t *testing.T) {
 	j, _, rk := batchState(h, objects, Defaults(0.5, 0.4))
 	k, batch := batchKernel(j, rk)
 	ctx := context.Background()
-	unbounded := 0 // what the prefixes gather with no size bound
+	// What the prefixes gather with no size bound, read off the funnel: the
+	// gather books the candidates its sketch settles, run books the rest.
 	for x := range rk.objs {
 		k.begin()
-		k.gatherRanked(rk, rk.objs[x].prefix, 0, int32(x))
-		unbounded += len(k.cands)
+		k.gatherRanked(rk, &rk.objs[x], 0, int32(x))
+		k.run(ctx, &rk.objs[x], rk, rk.input, int32(x))
 	}
+	unbounded := k.candidates
+	k.probeCounts = probeCounts{}
 	for x := range rk.objs {
 		batch(ctx, x)
 	}
-	if k.vst.Results == 0 || k.candidates >= int64(unbounded) || k.sizePruned != 0 || k.vst.CountPruned == 0 {
+	if k.vst.Results == 0 || k.candidates >= unbounded || k.sizePruned != 0 || k.vst.CountPruned == 0 {
 		t.Fatalf("warm-up did not reach every stage (%d candidates without the size bound): %+v", unbounded, k.probeCounts)
 	}
 	x := 0
@@ -266,6 +270,30 @@ func TestKernelSteadyStateZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state kernel batch: %v allocs, want 0", allocs)
 	}
+}
+
+// TestSketchGatePrecision pins the hit rate of the gather's sketch gate
+// on the workload it exists for: a tweet-shaped join, where nearly every
+// candidate dies in count pruning. The gate may only ever settle pairs
+// count pruning rejects, and must settle at least 95 % of them — a hash
+// or column-layout change that blunts it costs no test a result, only
+// this one its margin.
+func TestSketchGatePrecision(t *testing.T) {
+	hr := dataset.GenHierarchy(dataset.DefaultHierarchy())
+	recs := dataset.GenRecords(hr, dataset.TweetConfig(4000)).Records
+	j, _, rk := batchState(hr.H, recs, Defaults(0.8, 0.85))
+	k, batch := batchKernel(j, rk)
+	for x := range rk.objs {
+		batch(context.Background(), x)
+	}
+	pruned := k.vst.CountPruned
+	if pruned < 10000 {
+		t.Fatalf("only %d count-pruned candidates; corpus too small to measure a rate", pruned)
+	}
+	if k.sketchPruned > pruned || 100*k.sketchPruned < 95*pruned {
+		t.Errorf("sketch settled %d of %d count-pruned candidates; want at least 95%% and no more than all", k.sketchPruned, pruned)
+	}
+	t.Logf("sketch settled %d of %d count-pruned candidates (%d candidates)", k.sketchPruned, pruned, k.candidates)
 }
 
 // countdownCtx reports cancellation from its n-th Err call on.
@@ -296,8 +324,9 @@ func TestKernelCancelStopsWholeObject(t *testing.T) {
 	if gathered < 4*cancelCheckEvery {
 		t.Fatalf("only %d candidates; need several cancellation checks' worth", gathered)
 	}
-	if k.vst.Pairs == 0 || k.vst.Pairs >= int64(gathered) {
-		t.Errorf("verified %d of %d candidates; want a strict, non-empty part", k.vst.Pairs, gathered)
+	// The gather booked the pairs its sketch settled; the rest are run's.
+	if ran := k.vst.Pairs - k.sketchPruned; ran == 0 || ran >= int64(gathered) {
+		t.Errorf("verified %d of %d candidates; want a strict, non-empty part", ran, gathered)
 	}
 	checkFunnel(t, "cancelled batch", k.candidates, k.sizePruned, k.vst.Pairs)
 }

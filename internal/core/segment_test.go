@@ -342,12 +342,12 @@ func TestMergePlanPolicy(t *testing.T) {
 	}{
 		{nil, -1, 0},
 		{[]int{5}, -1, 0},
-		{[]int{9, 5}, -1, 0},                // strictly descending: fixpoint
-		{[]int{5, 9}, 0, 1},                 // ascending pair merges once
-		{[]int{256, 256, 300}, 0, 1},        // 256+256=512 > 300: one step to fixpoint
-		{[]int{4, 4, 4, 4}, 0, 3},           // equal run collapses fully
-		{[]int{100, 20, 20, 5}, 1, 1},       // leftmost violation is interior
-		{[]int{1, 2, 3}, 0, 2},              // ascending chain collapses fully
+		{[]int{9, 5}, -1, 0},          // strictly descending: fixpoint
+		{[]int{5, 9}, 0, 1},           // ascending pair merges once
+		{[]int{256, 256, 300}, 0, 1},  // 256+256=512 > 300: one step to fixpoint
+		{[]int{4, 4, 4, 4}, 0, 3},     // equal run collapses fully
+		{[]int{100, 20, 20, 5}, 1, 1}, // leftmost violation is interior
+		{[]int{1, 2, 3}, 0, 2},        // ascending chain collapses fully
 		{[]int{50, 10, 60, 10, 70, 10}, 1, 3},
 	}
 	for _, c := range cases {

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -66,6 +67,71 @@ func TestCountReachesMatchesCountBound(t *testing.T) {
 				t.Fatalf("countReaches(%v, %v, %d) = %v, countBound = %d", xk, yk, need, got, want)
 			}
 		}
+	}
+}
+
+// TestSketchBoundAboveCount is the soundness of the rung in front of
+// countReaches: over random sorted key multisets — repeated keys, more
+// distinct keys than the sketch has bits, keys that all hash to one bit,
+// an empty side — the bound read off two sketches is the same in both
+// argument orders and never below the exact Σ min that countReaches
+// walks, so at the exact count, one below and one above it, the sketch
+// never rejects a need that countReaches reaches.
+func TestSketchBoundAboveCount(t *testing.T) {
+	r := rand.New(rand.NewSource(24))
+	var colliding []sig.Sig // keys sharing key 0's bit
+	for k := sig.Sig(0); len(colliding) < 12; k++ {
+		if KeySketch([]sig.Sig{k}) == KeySketch([]sig.Sig{0}) {
+			colliding = append(colliding, k)
+		}
+	}
+	shapes := []struct {
+		maxLen int
+		key    func() sig.Sig
+	}{
+		{20, func() sig.Sig { return sig.Sig(r.Intn(12)) }},   // repeated keys
+		{20, func() sig.Sig { return sig.Sig(r.Intn(4000)) }}, // what a join sees: few keys of many
+		{400, func() sig.Sig { return sig.Sig(r.Intn(300)) }}, // saturates the sketch
+		{20, func() sig.Sig { return colliding[r.Intn(len(colliding))] }},
+	}
+	var empty, saturated, collided, informative int
+	for trial := 0; trial < 8000; trial++ {
+		shape := shapes[trial%len(shapes)]
+		draw := func() []sig.Sig {
+			ks := make([]sig.Sig, r.Intn(shape.maxLen))
+			for i := range ks {
+				ks[i] = shape.key()
+			}
+			slices.Sort(ks)
+			return ks
+		}
+		xk, yk := draw(), draw()
+		bx, by := KeySketch(xk), KeySketch(yk)
+		exact, bound := countBound(xk, yk), SketchBound(bx, len(xk), by, len(yk))
+		if swapped := SketchBound(by, len(yk), bx, len(xk)); bound != swapped || bound < exact {
+			t.Fatalf("sketch bound %d (%d swapped) of %v, %v; exact count %d", bound, swapped, xk, yk, exact)
+		}
+		for need := exact - 1; need <= exact+1; need++ {
+			if bound < need && countReaches(xk, yk, need) {
+				t.Fatalf("sketch rejects need %d of %v, %v, which countReaches reaches", need, xk, yk)
+			}
+		}
+		if len(xk) == 0 || len(yk) == 0 {
+			empty++
+		}
+		if bx == math.MaxUint64 {
+			saturated++
+		}
+		if bits.OnesCount64(bx) < len(slices.Compact(slices.Clone(xk))) {
+			collided++
+		}
+		if bound < min(len(xk), len(yk)) {
+			informative++
+		}
+	}
+	if empty < 100 || saturated < 100 || collided < 1000 || informative < 2000 {
+		t.Fatalf("%d empty sides, %d saturated sketches, %d with colliding keys, %d bounds below the lengths exercised",
+			empty, saturated, collided, informative)
 	}
 }
 

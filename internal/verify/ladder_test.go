@@ -134,6 +134,59 @@ func TestWeightedBoundMatchesGroups(t *testing.T) {
 	}
 }
 
+// TestBoundChain walks the ladder's chain from its head, sketch ≥ count
+// ≥ Lemma 4 ≥ overlap, over every pair of a POI corpus, plain and under
+// Plus resolution — where an element with several group keys gives its
+// object more keys than elements, merged groups take Lemma 4 out of the
+// chain, and sketch ≥ count ≥ overlap must still hold. At every link a
+// pair the sketch rejects is one VerifyPrepared count-prunes.
+func TestBoundChain(t *testing.T) {
+	for _, plus := range []bool{false, true} {
+		ctx, objs, keys := diffCtx(t, 140, 0.8, 0.6, elem.Standard, setmetric.Jaccard, plus)
+		preps, _ := prepareAll(ctx, objs)
+		sketches := make([]uint64, len(keys))
+		multiKey := 0
+		for i, ks := range keys {
+			sketches[i] = KeySketch(ks)
+			if len(ks) > len(objs[i]) {
+				multiKey++
+			}
+		}
+		if (multiKey > 0) != plus {
+			t.Fatalf("plus=%v: %d objects with more keys than elements", plus, multiKey)
+		}
+		sharing, rejected := 0, 0
+		for x := range objs {
+			for y := 0; y < x; y++ {
+				sketch := SketchBound(sketches[x], len(keys[x]), sketches[y], len(keys[y]))
+				count := countBound(keys[x], keys[y])
+				overlap := seedOverlap(ctx, objs[x], objs[y])
+				ok := sketch >= count && mathx.GE(float64(count), overlap)
+				if !plus {
+					w := seedWeightedUB(ctx, objs[x], objs[y])
+					ok = ok && mathx.GE(float64(count), w) && mathx.GE(w, overlap)
+				}
+				if !ok {
+					t.Fatalf("plus=%v pair (%d, %d): chain broken: sketch %d, count %d, overlap %v", plus, x, y, sketch, count, overlap)
+				}
+				if count > 0 {
+					sharing++
+				}
+				if _, needCeil := ctx.scratch().pairNeed(ctx, len(objs[x]), len(objs[y])); sketch < needCeil {
+					rejected++
+					var st Stats
+					if ctx.VerifyPrepared(&preps[x], &preps[y], Adaptive, &st) || st != (Stats{Pairs: 1, CountPruned: 1}) {
+						t.Fatalf("plus=%v pair (%d, %d): the sketch rejects it, the ladder books %+v", plus, x, y, st)
+					}
+				}
+			}
+		}
+		if sharing < 100 || rejected < 1000 {
+			t.Fatalf("plus=%v: only %d pairs share a key and %d are rejected by the sketch", plus, sharing, rejected)
+		}
+	}
+}
+
 func hasRepeat(o []elem.ID) bool {
 	seen := map[elem.ID]bool{}
 	for _, e := range o {

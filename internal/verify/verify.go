@@ -5,7 +5,8 @@
 // §5.2 (Algorithm 3).
 //
 // The ladder is lazy and threshold-aware: the bounds form the chain
-// count ≥ Lemma 4 ≥ B^u ≥ overlap ≥ B^l, every rung is the cheapest one
+// sketch ≥ count ≥ Lemma 4 ≥ B^u ≥ overlap ≥ B^l (the sketch rung is the
+// batch index's, see SketchBound), every rung is the cheapest one
 // not yet tried, it stops as soon as τ is decided, and a rung that reads
 // a pair group by group adds the looser bound of the groups still unread
 // and gives up when even that cannot reach the required overlap. Every
@@ -14,6 +15,7 @@
 package verify
 
 import (
+	"math/bits"
 	"slices"
 
 	"kjoin/internal/elem"
@@ -375,6 +377,26 @@ func countReaches(xk, yk []sig.Sig, need int) bool {
 		}
 	}
 	return true
+}
+
+// KeySketch folds a key multiset into 64 bits: bit h(k) is set for every
+// key k it holds.
+func KeySketch(keys []sig.Sig) uint64 {
+	var b uint64
+	for _, k := range keys {
+		b |= 1 << (uint64(uint32(k)) * 0x9e3779b97f4a7c15 >> 58)
+	}
+	return b
+}
+
+// SketchBound bounds the count countReaches walks to, from the two
+// multisets' sketches and lengths alone. A bit set in bx and clear in by
+// is the bit of some key of x that y does not hold, so at least one key
+// instance of x per such bit has no partner: the count is at most
+// nx − popcount(bx &^ by), and by symmetry ny − popcount(by &^ bx). When
+// the bound is below need, countReaches(xk, yk, need) is false.
+func SketchBound(bx uint64, nx int, by uint64, ny int) int {
+	return min(nx-bits.OnesCount64(bx&^by), ny-bits.OnesCount64(by&^bx))
 }
 
 // weightedBound computes Lemma 4's bound Σ_groups |Sᵢˣ ∩ Sᵢʸ| +
