@@ -75,12 +75,14 @@ fuzz-smoke:
 # crash-smoke runs the deterministic fault-injection recovery matrix
 # under the race detector: scripted WAL/snapshot failures and crashes at
 # every write boundary, each followed by a reboot that must reproduce
-# exactly the acknowledged adds with bit-identical query answers.
+# exactly the acknowledged adds with bit-identical query answers — plus
+# the WAL, the fault injector and serverutil, whose durable-log kernel
+# (recovery, compaction floor, snapshot→compact) both owners run on.
 crash-smoke:
 	$(GO) test -race -count=1 \
 		-run 'TestCrashMatrix|TestCrashSweepEveryWalWrite|TestConcurrentAddsCrashAtSyncBoundary|TestRecovery|TestRecoverRejectsDeletedWal|TestWalFailureDegradesNotCorrupts' \
 		./internal/server/
-	$(GO) test -race -count=1 ./internal/wal/ ./internal/fault/
+	$(GO) test -race -count=1 ./internal/wal/ ./internal/fault/ ./internal/serverutil/
 
 # replication-smoke runs the replica chaos matrix under the race
 # detector: WAL-shipping followers fed through deterministic network
@@ -115,10 +117,11 @@ cluster-smoke:
 # with bit-identical answers), reshard grow/shrink differentials, the
 # dual-read window under a throttled mover, transient shard death
 # mid-migration, abort-then-retry, mid-migration coordinator crashes,
-# stale route-version refusals, and the coordinator durability flags.
+# the compaction floor across coordinator restarts, stale route-version
+# refusals, and the coordinator durability flags.
 reshard-smoke:
 	$(GO) test -race -count=1 \
-		-run 'TestCoordinator|TestReshard|TestStaleRouteVersion|TestAddChargesRetryBudgetOnce' \
+		-run 'TestCoordinator|TestCoordinatorCompactionFloorSurvivesRestart|TestReshard|TestStaleRouteVersion|TestAddChargesRetryBudgetOnce' \
 		./internal/cluster/
 	$(GO) test -race -count=1 -run 'TestFlagsDurableCoordinatorConfig|TestFlagsRejectLoudly' ./cmd/kjoin-serve/
 

@@ -23,8 +23,11 @@
 // The analysis is a may-hold approximation: branches contribute the
 // union of their acquisitions, an Unlock not executed on every path is
 // still treated as releasing, and calls through interfaces or func
-// values propagate nothing (static call edges only). Those are the
-// same trade-offs the dynamic lock-rank checkers in large Go systems
+// values propagate nothing (static call edges only) — except callbacks:
+// a function that calls one of its func-typed parameters while holding
+// locks exports those locks, and a function literal (or static function
+// reference) passed to it is checked as if it ran under them. Those are
+// the same trade-offs the dynamic lock-rank checkers in large Go systems
 // make; the point is catching structural inversions, not proving their
 // absence.
 package lockorder
@@ -49,10 +52,13 @@ var Analyzer = &analysis.Analyzer{
 
 // Acquires is the object fact exported for every function: the set of
 // lock keys the function (transitively, along static call edges) may
-// acquire. Callers use it to extend their held-set edges through calls
-// into already-analyzed packages.
+// acquire, and the locks it may hold when it calls one of its func-typed
+// parameters. Callers use it to extend their held-set edges through
+// calls into already-analyzed packages, and into the callbacks they
+// pass.
 type Acquires struct {
 	Keys []string
+	Held []string
 }
 
 func (*Acquires) AFact() {}
@@ -104,15 +110,24 @@ func run(pass *analysis.Pass) error {
 		pass:     pass,
 		ranks:    merged.Ranks,
 		acquires: make(map[*types.Func]map[string]bool),
+		cbHeld:   make(map[*types.Func]map[string]bool),
+		reported: make(map[string]bool),
 	}
 	w.computeAcquires()
 
 	var localEdges []localEdge
 	w.local = &localEdges
-	for _, body := range w.bodies() {
-		// A nil held set means "path terminated"; the empty-but-non-nil
-		// slice is the live empty set.
-		w.walkStmts(body.body.List, []string{})
+	// The first, dry pass only learns which locks each function holds at
+	// its callback calls, so the second can walk every callback passed to
+	// it wherever the caller sits in the package.
+	for _, dry := range []bool{true, false} {
+		w.dry = dry
+		for _, body := range w.bodies() {
+			w.cur = body.fn
+			// A nil held set means "path terminated"; the empty-but-non-nil
+			// slice is the live empty set.
+			w.walkStmts(body.body.List, []string{})
+		}
 	}
 
 	for _, e := range localEdges {
@@ -128,8 +143,7 @@ func run(pass *analysis.Pass) error {
 		if fn.Pkg() != pass.Pkg || len(keys) == 0 {
 			continue
 		}
-		f := &Acquires{Keys: sortedKeys(keys)}
-		pass.ExportObjectFact(fn, f)
+		pass.ExportObjectFact(fn, &Acquires{Keys: sortedKeys(keys), Held: sortedKeys(w.cbHeld[fn])})
 	}
 	return nil
 }
@@ -198,7 +212,11 @@ type walker struct {
 	pass     *analysis.Pass
 	ranks    map[string]int
 	acquires map[*types.Func]map[string]bool // this package's functions, after fixpoint
+	cbHeld   map[*types.Func]map[string]bool // this package's functions: locks held at callback calls
 	local    *[]localEdge
+	cur      *types.Func // function being walked (nil in a literal)
+	dry      bool        // learning cbHeld only: record no edges
+	reported map[string]bool
 }
 
 // bodies returns every function body in the package: declared functions
@@ -292,6 +310,51 @@ func (w *walker) calleeKeys(callee *types.Func) []string {
 		return f.Keys
 	}
 	return nil
+}
+
+// calleeHeld returns the locks a callee may hold when it calls one of
+// its func-typed parameters.
+func (w *walker) calleeHeld(callee *types.Func) []string {
+	if callee.Pkg() == w.pass.Pkg {
+		return sortedKeys(w.cbHeld[callee])
+	}
+	var f Acquires
+	if w.pass.ImportObjectFact(callee, &f) {
+		return f.Held
+	}
+	return nil
+}
+
+// isParam reports whether fun names a parameter of the declared function
+// being walked — a call through it is a callback call.
+func (w *walker) isParam(fun ast.Expr) bool {
+	id, ok := ast.Unparen(fun).(*ast.Ident)
+	if !ok || w.cur == nil {
+		return false
+	}
+	params := w.cur.Type().(*types.Signature).Params()
+	for i := range params.Len() {
+		if params.At(i) == w.pass.TypesInfo.Uses[id] {
+			return true
+		}
+	}
+	return false
+}
+
+// walkCallbacks checks the function arguments of a call whose callee
+// invokes its func-typed parameters under held: literal bodies are
+// walked with those locks held, static function references contribute
+// their acquire sets.
+func (w *walker) walkCallbacks(call *ast.CallExpr, held []string) {
+	for _, arg := range call.Args {
+		if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+			w.walkStmts(lit.Body.List, cloneHeld(held))
+		} else if fn, dyn := analysis.StaticCallee(w.pass.TypesInfo, &ast.CallExpr{Fun: arg}); fn != nil && !dyn {
+			for _, k := range w.calleeKeys(fn) {
+				w.recordEdge(held, k, arg.Pos(), fn.Name())
+			}
+		}
+	}
 }
 
 type lockOpKind int
@@ -537,6 +600,16 @@ func (w *walker) walkExpr(expr ast.Expr, held []string) []string {
 				for _, k := range w.calleeKeys(callee) {
 					w.recordEdge(held, k, call.Pos(), callee.Name())
 				}
+				if cb := w.calleeHeld(callee); len(cb) > 0 {
+					w.walkCallbacks(call, mergeHeld(cloneHeld(held), cb))
+				}
+			} else if w.isParam(call.Fun) && len(held) > 0 {
+				if w.cbHeld[w.cur] == nil {
+					w.cbHeld[w.cur] = make(map[string]bool)
+				}
+				for _, k := range held {
+					w.cbHeld[w.cur][k] = true
+				}
 			}
 		}
 		return true
@@ -555,22 +628,35 @@ func (w *walker) acquire(held []string, key string, pos token.Pos) []string {
 // callee when the acquisition happens inside a call rather than at a
 // literal Lock().
 func (w *walker) recordEdge(held []string, key string, pos token.Pos, via string) {
+	if w.dry {
+		return
+	}
 	suffix := ""
 	if via != "" {
 		suffix = fmt.Sprintf(" (via call to %s)", via)
 	}
 	for _, h := range held {
 		if h == key {
-			w.pass.Reportf(pos, "acquires %s while already holding it%s", key, suffix)
+			w.reportf(pos, "acquires %s while already holding it%s", key, suffix)
 			continue
 		}
 		if rh, okh := w.ranks[h]; okh {
 			if rk, okk := w.ranks[key]; okk && rh >= rk {
-				w.pass.Reportf(pos, "acquires %s (rank %d) while holding %s (rank %d): violates declared lock order%s",
+				w.reportf(pos, "acquires %s (rank %d) while holding %s (rank %d): violates declared lock order%s",
 					key, rk, h, rh, suffix)
 			}
 		}
 		*w.local = append(*w.local, localEdge{from: h, to: key, pos: pos})
+	}
+}
+
+// reportf reports a finding once: a function literal passed as a
+// callback is walked both on its own and under its callee's locks.
+func (w *walker) reportf(pos token.Pos, format string, args ...any) {
+	msg := fmt.Sprintf(format, args...)
+	if k := fmt.Sprint(pos, msg); !w.reported[k] {
+		w.reported[k] = true
+		w.pass.Reportf(pos, "%s", msg)
 	}
 }
 

@@ -73,6 +73,34 @@ func (s *Store) Spawn() {
 	}()
 }
 
+// withWal calls fn while holding walMu: whatever fn acquires is nested
+// under it.
+func (s *Store) withWal(fn func()) {
+	s.walMu.Lock()
+	defer s.walMu.Unlock()
+	fn()
+}
+
+// CallbackGood passes a callback that takes nothing ranked below walMu.
+func (s *Store) CallbackGood() {
+	s.withWal(func() {})
+}
+
+// CallbackInverted passes a literal that takes mu — inverted against
+// walMu, which withWal holds while calling it.
+func (s *Store) CallbackInverted() {
+	s.withWal(func() {
+		s.mu.Lock() // want `acquires orderdata\.Store\.mu \(rank 10\) while holding orderdata\.Store\.walMu \(rank 20\): violates declared lock order`
+		s.mu.Unlock()
+	})
+}
+
+// CallbackRef passes a method value whose acquisitions invert the same
+// way.
+func (s *Store) CallbackRef() {
+	s.withWal(s.lockLow) // want `acquires orderdata\.Store\.mu \(rank 10\) while holding orderdata\.Store\.walMu \(rank 20\): violates declared lock order \(via call to lockLow\)`
+}
+
 // Pair has no declared ranks; opposite acquisition orders in two
 // functions still form a cycle.
 type Pair struct {

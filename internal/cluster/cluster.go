@@ -224,11 +224,10 @@ type Coordinator struct {
 	// mig is the in-flight migration, nil when idle. Guarded by mu.
 	mig *migration
 
-	// cw is the durable control-plane state (nil on a non-durable
-	// coordinator): the coordinator WAL plus the snapshot generation
-	// store. The WAL handle itself is safe for concurrent use; cw's
-	// bookkeeping is written under addMu.
-	cw *coordWAL
+	// log is the durable control-plane state (nil on a non-durable
+	// coordinator): the coordinator WAL bound to its snapshot
+	// generations. Set once by Recover before the coordinator is shared.
+	log *serverutil.Log
 
 	// jmu guards the retry-jitter RNG (leaf lock).
 	//kjoinlint:lockorder rank=18
@@ -322,10 +321,10 @@ func (c *Coordinator) SetDraining(v bool) { c.draining.Store(v) }
 func (c *Coordinator) Close() error {
 	c.closeOnce.Do(func() { close(c.closed) })
 	c.moverWG.Wait()
-	if c.cw == nil {
+	if c.log == nil {
 		return nil
 	}
-	return c.cw.wal.Close()
+	return c.log.WAL().Close()
 }
 
 // gatherTargets returns the stable indices a gather must scatter to —

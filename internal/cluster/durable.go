@@ -3,8 +3,8 @@ package cluster
 // Durable coordinator state. The control plane's entire truth — which
 // global id every object got, where it lives, and what the route table
 // says — is reconstructible from a coordinator WAL of typed records
-// plus periodic snapshot generations, with the same loud
-// over-compaction refusals as the server's data path.
+// plus periodic snapshot generations, recovered and snapshotted by the
+// same durable-log kernel (serverutil.Log) as the server's data path.
 //
 // Every state change follows a write-ahead intent/outcome protocol:
 //
@@ -19,7 +19,8 @@ package cluster
 // it did (the record is completed exactly as the live path would have).
 // Either way the resolution is itself logged, so a second crash replays
 // a closed log. Shard adds are serialized by the same addMu, which is
-// what makes the count test unambiguous.
+// what makes the count test unambiguous. The live path settles an
+// ambiguous shard add the same way (settle is shared).
 
 import (
 	"bufio"
@@ -31,14 +32,9 @@ import (
 	"hash/crc32"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"kjoin/internal/fault"
 	"kjoin/internal/serverutil"
 	"kjoin/internal/wal"
 )
@@ -72,50 +68,17 @@ func (e *recordError) Error() string {
 // write-ahead log every id assignment and route change is fsync'd into
 // before the add is acknowledged, and a directory of checksummed
 // snapshot generations recovery rebuilds from.
-type Durability struct {
-	// FS is the filesystem (nil → the real one; tests inject faults).
-	FS fault.FS
-	// WALDir is the coordinator write-ahead-log directory (required).
-	WALDir string
-	// SnapshotDir is the snapshot generation directory (required; must
-	// differ from WALDir so WAL repair never touches snapshots).
-	SnapshotDir string
-	// Keep is how many snapshot generations are retained (default 3).
-	Keep int
-	// Policy is the WAL fsync policy (default wal.SyncAlways).
-	Policy wal.Policy
-	// BatchWindow is the WAL group-commit window (0 = fsync immediately).
-	BatchWindow time.Duration
-	// Logf, when set, receives recovery and repair notices.
-	Logf func(format string, args ...any)
-}
+type Durability = serverutil.Durability
 
-// coordWAL bundles the open log with the snapshot generation store and
-// its compaction-floor bookkeeping.
-type coordWAL struct {
-	wal  *wal.WAL
-	gens *serverutil.GenStore
-	keep int
-	logf func(format string, args ...any)
-
-	// snapMu serializes snapshot generations against each other. It is
-	// acquired before addMu (snapshotting quiesces control-plane writes).
-	//kjoinlint:lockorder rank=8
-	snapMu sync.Mutex
-	// snapSeqs holds the WAL sequence of each retained generation,
-	// oldest first; the WAL may only be compacted up to snapSeqs[0].
-	snapSeqs    []uint64 // guarded by snapMu
-	lastSnapSeq atomic.Uint64
-	snapOnDisk  atomic.Bool
-}
-
-// appendSync appends one typed record and group-commits it durable.
-func (cw *coordWAL) appendSync(fields []string) (uint64, error) {
-	seq, err := cw.wal.AppendCoord(fields)
+// appendSync appends one typed record to the coordinator WAL and
+// group-commits it durable.
+func (c *Coordinator) appendSync(fields []string) (uint64, error) {
+	w := c.log.WAL()
+	seq, err := w.AppendCoord(fields)
 	if err != nil {
 		return 0, err
 	}
-	return seq, cw.wal.Sync(seq)
+	return seq, w.Sync(seq)
 }
 
 // migration is one in-flight reshard.
@@ -139,7 +102,6 @@ type pendingIntent struct {
 	g      int
 	target int // home (assign) or dst (move)
 	src    int // move only
-	tokens []string
 }
 
 // ---- record encoding ----
@@ -260,7 +222,7 @@ func (rs *replayState) applyRecord(fields []string) error {
 		if home >= len(c.shards) {
 			return &recordError{field: recAssignIntent, detail: fmt.Sprintf("unknown shard index %d", home)}
 		}
-		rs.pending = &pendingIntent{kind: recAssignIntent, g: g, target: home, tokens: fields[3:]}
+		rs.pending = &pendingIntent{kind: recAssignIntent, g: g, target: home}
 	case recAssignDone:
 		if len(fields) != 4 {
 			return &recordError{field: recAssignDone, detail: "field count"}
@@ -799,10 +761,13 @@ func peekCoordSnapMeta(r io.Reader) (walSeq uint64, err error) {
 	return walSeq, nil
 }
 
-// installSnap seeds a coordinator's state from a parsed snapshot. The
-// caller holds mu by construction: installation runs during recovery on
-// an unpublished coordinator before any other goroutine can see it.
+// installSnap seeds a coordinator's state from a parsed snapshot,
+// replacing all of it, so a generation rejected halfway leaves nothing
+// behind for the next fallback candidate. The caller holds mu by
+// construction: installation runs during recovery on an unpublished
+// coordinator before any other goroutine can see it.
 func (c *Coordinator) installSnap(sn *coordSnap) error {
+	c.mig = nil
 	c.shards = c.shards[:0]
 	for i, sc := range sn.shards {
 		c.shards = append(c.shards, c.newShard(i, sc))
@@ -858,184 +823,116 @@ func (c *Coordinator) installSnap(sn *coordSnap) error {
 
 // Recover builds a durable coordinator: control-plane state is loaded
 // from the newest readable snapshot generation, the coordinator WAL is
-// replayed over it, a dangling tail intent is resolved against the
-// target shard, and every later id assignment or route change is logged
-// and fsync'd before it is acknowledged. cfg.Shards names the initial
-// fleet and is only consulted when no durable state exists yet; once
-// recorded, the durable fleet wins (resharding may have grown it past
-// the flags). Recovery is single-threaded: until the coordinator is
-// returned no other goroutine can see it, so Recover holds mu and
-// snapMu by construction.
+// replayed over it (serverutil.Open), a dangling tail intent is settled
+// against the target shard, and every later id assignment or route
+// change is logged and fsync'd before it is acknowledged. cfg.Shards
+// names the initial fleet and is only consulted when no durable state
+// exists yet; once recorded, the durable fleet wins (resharding may have
+// grown it past the flags). Recovery is single-threaded: until the
+// coordinator is returned no other goroutine can see it, so Recover
+// holds mu by construction.
 func Recover(cfg Config, d Durability) (*Coordinator, error) {
 	c, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	fsys := d.FS
-	if fsys == nil {
-		fsys = fault.OS{}
-	}
-	logf := d.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	gens := &serverutil.GenStore{FS: fsys, Dir: d.SnapshotDir, Keep: d.Keep, Logf: d.Logf}
-	var sn *coordSnap
-	name, err := gens.Load(func(r io.Reader) error {
-		loaded, lerr := loadCoordSnap(r)
-		if lerr != nil {
-			return lerr
-		}
-		sn = loaded
-		return nil
-	})
-	switch {
-	case errors.Is(err, serverutil.ErrNoSnapshot):
-		logf("coordinator recovery: no snapshot; starting from the configured fleet")
-	case err != nil:
-		return nil, fmt.Errorf("cluster: load coordinator snapshot: %w", err)
-	default:
-		if err := c.installSnap(sn); err != nil {
-			return nil, err
-		}
-		logf("coordinator recovery: loaded snapshot %s (%d objects, route v%d, wal seq %d)",
-			name, sn.objects, sn.version, sn.walSeq)
-	}
-	var base uint64
-	if sn != nil {
-		base = sn.walSeq
-	}
-	// Seed the compaction floor from every generation still on disk, not
-	// just the one that loaded: the older ones remain fallback candidates,
-	// so the WAL records they need must outlive them.
-	snapSeqs := []uint64{base}
-	if names, gerr := gens.Generations(); gerr == nil && len(names) > 0 {
-		snapSeqs = snapSeqs[:0]
-		for _, gn := range names {
-			f, oerr := gens.Open(gn)
-			if oerr != nil {
-				logf("coordinator recovery: generation %s unreadable (%v); ignored for the compaction floor", gn, oerr)
-				continue
-			}
-			seq, perr := peekCoordSnapMeta(f)
-			_ = f.Close() // read-only; nothing written that a close could lose
-			if perr != nil {
-				logf("coordinator recovery: generation %s header corrupt (%v); ignored for the compaction floor", gn, perr)
-				continue
-			}
-			snapSeqs = append(snapSeqs, seq)
-		}
-		if len(snapSeqs) == 0 {
-			snapSeqs = append(snapSeqs, base)
-		}
-		sort.Slice(snapSeqs, func(i, j int) bool { return snapSeqs[i] < snapSeqs[j] })
-	}
 	rs := &replayState{c: c}
-	replayed := 0
-	var maxRec uint64
-	w, err := wal.Open(fsys, d.WALDir, wal.Options{Policy: d.Policy, BatchWindow: d.BatchWindow, Logf: d.Logf},
+	c.log, err = serverutil.Open(d,
+		func(r io.Reader) (uint64, error) {
+			if r == nil {
+				return 0, nil // no durable state yet: the configured fleet stands
+			}
+			sn, err := loadCoordSnap(r)
+			if err != nil {
+				return 0, err
+			}
+			return sn.walSeq, c.installSnap(sn)
+		},
+		peekCoordSnapMeta,
 		func(seq uint64, op wal.Op, fields []string) error {
-			if seq > maxRec {
-				maxRec = seq
-			}
-			if seq <= base {
-				return nil // already inside the snapshot
-			}
 			if op != wal.OpCoord {
 				return &recordError{field: "op", detail: fmt.Sprintf("non-coordinator record op %d at seq %d", op, seq)}
 			}
-			replayed++
-			if rerr := rs.applyRecord(fields); rerr != nil {
-				return fmt.Errorf("cluster: replaying seq %d: %w", seq, rerr)
+			if err := rs.applyRecord(fields); err != nil {
+				return fmt.Errorf("cluster: replaying seq %d: %w", seq, err)
 			}
 			return nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("cluster: open coordinator wal: %w", err)
+		return nil, fmt.Errorf("cluster: coordinator %w", err)
 	}
-	if w.LastSeq() < base {
-		_ = w.Close() // recovery already failed; the gap error is the one to report
-		return nil, fmt.Errorf("cluster: coordinator wal ends at seq %d but snapshot %s covers seq %d: log truncated or deleted out-of-band", w.LastSeq(), name, base)
-	}
-	if tail := w.LastSeq(); tail > base && tail > maxRec {
-		_ = w.Close() // recovery already failed; the gap error is the one to report
-		return nil, fmt.Errorf("cluster: coordinator wal numbering reaches seq %d but its records end at seq %d and snapshot %s covers only seq %d: acknowledged records were compacted away", tail, maxRec, name, base)
-	}
-	c.cw = &coordWAL{wal: w, gens: gens, keep: gens.Keep, logf: logf}
-	c.cw.snapSeqs = append(c.cw.snapSeqs, snapSeqs...)
-	c.cw.lastSnapSeq.Store(base)
-	c.cw.snapOnDisk.Store(name != "")
-	if rs.pending != nil {
-		if err := c.resolvePending(rs.pending, logf); err != nil {
-			_ = w.Close() // recovery already failed; the resolution error is the one to report
+	if p := rs.pending; p != nil {
+		// Settle the dangling tail intent. An unreachable shard fails
+		// recovery loudly — guessing would corrupt the id map.
+		primary := c.shards[p.target].cfg.Primary
+		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ShardTimeout)
+		count, err := c.shardObjects(ctx, primary)
+		cancel()
+		if err != nil {
+			err = fmt.Errorf("cluster: cannot resolve in-flight %s for global id %d: shard %d (%s) unreachable: %w",
+				p.kind, p.g, p.target, primary, err)
+		} else {
+			_, err = c.settle(p.kind, p.g, p.src, p.target, count)
+		}
+		if err != nil {
+			_ = c.log.WAL().Close() // recovery already failed; the resolution error is the one to report
 			return nil, err
 		}
 	}
-	logf("coordinator recovery: replayed %d record(s); %d objects, route v%d, %d shard(s)",
-		replayed, c.objects, c.router.Version(), len(c.shards))
+	c.logf("coordinator recovery: %d objects, route v%d, %d shard(s)", c.objects, c.router.Version(), len(c.shards))
 	if c.mig != nil {
-		logf("coordinator recovery: migration in flight (%d of %d moved); resuming mover", c.mig.moved, len(c.mig.items))
+		c.logf("coordinator recovery: migration in flight (%d of %d moved); resuming mover", c.mig.moved, len(c.mig.items))
 		c.startMover()
 	}
 	return c, nil
 }
 
-// resolvePending settles the single intent record a crash can leave
-// dangling: the target shard's object count says whether the shard add
-// the intent announced actually applied. Count == expected means it
-// never did (the intent is aborted); count == expected+1 means it did
-// (the record is completed exactly as the live path would have). The
-// resolution is itself logged so a second crash replays a closed log.
-// An unreachable shard fails recovery loudly — guessing would corrupt
-// the id map.
-func (c *Coordinator) resolvePending(p *pendingIntent, logf func(string, ...any)) error {
-	sh := c.shards[p.target]
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ShardTimeout)
-	defer cancel()
-	count, err := c.shardObjects(ctx, sh.cfg.Primary)
-	if err != nil {
-		return fmt.Errorf("cluster: cannot resolve in-flight %s for global id %d: shard %d (%s) unreachable: %w",
-			p.kind, p.g, p.target, sh.cfg.Primary, err)
-	}
-	expected := len(c.toGlobal[p.target])
+// settle closes the single unresolved intent — kind for global id g,
+// copying src → target — given the target shard's object count. Count
+// == expected means the shard never applied the add: the intent aborts
+// (the object, never acknowledged, does not exist). Count == expected+1
+// means it did: the record is completed at the local id the count
+// proves, exactly as the live path would have. Anything else means
+// writes bypassed the coordinator, which latches the control plane. The
+// resolution is logged before return, so a second crash replays a
+// closed log. Recovery and the live path's ambiguous-outcome resolver
+// share it; they differ only in what they do about an unreachable
+// shard. Reports whether the add applied.
+func (c *Coordinator) settle(kind string, g, src, target, count int) (bool, error) {
+	c.mu.RLock()
+	expected := len(c.toGlobal[target])
+	c.mu.RUnlock()
+	var rec []string
+	applied := false
 	switch count {
 	case expected:
-		// The shard never applied the add: the intent aborts, and the
-		// object (never acknowledged) does not exist.
-		var rec []string
-		if p.kind == recAssignIntent {
-			rec = encAssignAbort(p.g)
-		} else {
-			rec = encMoveAbort(p.g)
+		rec = encAssignAbort(g)
+		if kind == recMoveIntent {
+			rec = encMoveAbort(g)
 		}
-		if _, err := c.cw.appendSync(rec); err != nil {
-			return fmt.Errorf("cluster: logging intent resolution: %w", err)
-		}
-		logf("coordinator recovery: %s for global id %d never applied on shard %d; aborted", p.kind, p.g, p.target)
 	case expected + 1:
-		// The shard applied the add before the crash: adopt it at the
-		// local id the count proves, exactly as the live path would have.
-		if p.kind == recAssignIntent {
-			if err := c.applyAssign(p.g, p.target, expected); err != nil {
-				return err
-			}
-			if _, err := c.cw.appendSync(encAssignDone(p.g, p.target, expected)); err != nil {
-				return fmt.Errorf("cluster: logging intent resolution: %w", err)
-			}
+		var aerr error
+		if kind == recAssignIntent {
+			rec, aerr = encAssignDone(g, target, expected), c.applyAssign(g, target, expected)
 		} else {
-			if err := c.applyMove(p.g, p.target, expected); err != nil {
-				return err
-			}
-			if _, err := c.cw.appendSync(encMoveDone(p.g, p.src, p.target, expected)); err != nil {
-				return fmt.Errorf("cluster: logging intent resolution: %w", err)
-			}
+			rec, aerr = encMoveDone(g, src, target, expected), c.applyMove(g, target, expected)
 		}
-		logf("coordinator recovery: %s for global id %d had applied on shard %d; adopted at local id %d", p.kind, p.g, p.target, expected)
+		if aerr != nil {
+			c.failControl(aerr)
+			return false, fmt.Errorf("%w: %v", errMoverHalt, aerr)
+		}
+		applied = true
 	default:
-		return fmt.Errorf("cluster: shard %d reports %d objects, coordinator expected %d or %d: writes bypassed the coordinator",
-			p.target, count, expected, expected+1)
+		drift := fmt.Errorf("%w: shard %d reports %d objects, coordinator expected %d or %d: writes bypassed the coordinator",
+			errMoverHalt, target, count, expected, expected+1)
+		c.failControl(drift)
+		return false, drift
 	}
-	return nil
+	if _, err := c.appendSync(rec); err != nil {
+		return false, fmt.Errorf("cluster: logging intent resolution: %w", err)
+	}
+	c.logf("cluster: %s for global id %d settled on shard %d (applied=%v, %d objects)", kind, g, target, applied, count)
+	return applied, nil
 }
 
 // shardObjects asks one shard primary how many objects it holds.
@@ -1073,62 +970,36 @@ func (c *Coordinator) shardObjects(ctx context.Context, primary string) (int, er
 }
 
 // SnapshotGeneration persists the control-plane state as a new snapshot
-// generation and compacts the coordinator WAL. Control-plane writes are
-// quiesced (addMu) only while the state serializes in memory and the
-// log syncs through the covered sequence; the disk write happens with
+// generation and compacts the coordinator WAL (serverutil.Log.Snapshot).
+// Control-plane writes are quiesced (addMu) only while the state
+// serializes in memory; the log sync and the disk write happen with
 // adds flowing again.
 func (c *Coordinator) SnapshotGeneration() error {
-	cw := c.cw
-	if cw == nil {
+	if c.log == nil {
 		return errors.New("cluster: durability not configured")
 	}
-	cw.snapMu.Lock()
-	defer cw.snapMu.Unlock()
-	c.addMu.Lock()
-	if err := cw.wal.Err(); err != nil {
-		c.addMu.Unlock()
-		return fmt.Errorf("cluster: coordinator wal unhealthy; refusing snapshot: %w", err)
-	}
-	seq := cw.wal.LastSeq()
-	if cw.snapOnDisk.Load() && seq == cw.lastSnapSeq.Load() {
-		c.addMu.Unlock()
-		return nil // nothing advanced since the last durable generation
-	}
-	var buf bytes.Buffer
-	c.mu.RLock()
-	err := c.writeSnapshotLocked(&buf, seq)
-	c.mu.RUnlock()
-	if err == nil {
-		// Records the snapshot claims to cover must be durable before a
-		// generation naming that sequence exists.
-		err = cw.wal.Sync(seq)
-	}
-	c.addMu.Unlock()
-	if err != nil {
-		return err
-	}
-	name, err := cw.gens.Save(func(dst io.Writer) error {
-		_, werr := dst.Write(buf.Bytes())
-		return werr
+	err := c.log.Snapshot(func() (uint64, func(io.Writer) error, error) {
+		c.addMu.Lock()
+		defer c.addMu.Unlock()
+		w := c.log.WAL()
+		if err := w.Err(); err != nil {
+			return 0, nil, fmt.Errorf("coordinator wal unhealthy; refusing snapshot: %w", err)
+		}
+		seq := w.LastSeq()
+		var buf bytes.Buffer
+		c.mu.RLock()
+		err := c.writeSnapshotLocked(&buf, seq)
+		c.mu.RUnlock()
+		return seq, func(dst io.Writer) error {
+			_, werr := dst.Write(buf.Bytes())
+			return werr
+		}, err
 	})
 	if err != nil {
-		return err
-	}
-	cw.lastSnapSeq.Store(seq)
-	cw.snapOnDisk.Store(true)
-	keep := cw.keep
-	if keep < 1 {
-		keep = 3
-	}
-	cw.snapSeqs = append(cw.snapSeqs, seq)
-	if len(cw.snapSeqs) > keep {
-		cw.snapSeqs = cw.snapSeqs[len(cw.snapSeqs)-keep:]
-	}
-	if err := cw.wal.Compact(cw.snapSeqs[0]); err != nil {
-		return fmt.Errorf("cluster: compact coordinator wal after %s: %w", name, err)
+		return fmt.Errorf("cluster: %w", err)
 	}
 	return nil
 }
 
 // Durable reports whether the coordinator logs its control-plane state.
-func (c *Coordinator) Durable() bool { return c.cw != nil }
+func (c *Coordinator) Durable() bool { return c.log != nil }

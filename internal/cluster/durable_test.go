@@ -519,3 +519,54 @@ func TestAddChargesRetryBudgetOnce(t *testing.T) {
 		t.Fatalf("retries_total = %d after one clean add", n)
 	}
 }
+
+// TestCoordinatorCompactionFloorSurvivesRestart: the coordinator twin
+// of the server's TestCompactionFloorSurvivesRestart, through the same
+// durable-log kernel. The floor must be re-seeded from every generation
+// still on disk, not just the one that loaded; otherwise the first
+// post-restart compaction deletes records the older generations need,
+// and a later fallback past a corrupt newest generation finds its log
+// gone.
+func TestCoordinatorCompactionFloorSurvivesRestart(t *testing.T) {
+	watchGoroutines(t)
+	objs := paperdata.Table1()[:6]
+	f := newDFleet(t, 3, nil)
+	f.keep = 3
+	f.mustBoot(fault.OS{})
+	for i, o := range objs[:5] {
+		if _, id, _ := addAt(t, f.ts.URL, o); id != i {
+			t.Fatalf("add %d got id %d", i, id)
+		}
+		if i == 1 || i == 3 {
+			if err := f.coord.SnapshotGeneration(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// Restart (two generations on disk, one unsnapshotted add), then add
+	// and snapshot so compaction runs with the re-seeded floor.
+	f.kill()
+	f.mustBoot(fault.OS{})
+	if _, id, _ := addAt(t, f.ts.URL, objs[5]); id != 5 {
+		t.Fatalf("post-restart add got id %d, want 5", id)
+	}
+	if err := f.coord.SnapshotGeneration(); err != nil {
+		t.Fatal(err)
+	}
+	f.kill()
+
+	// Rot every generation but the oldest: recovery must fall back to it
+	// and find all the WAL records it needs still in the log.
+	gens, err := filepath.Glob(filepath.Join(f.snapDir, "snap.0*"))
+	if err != nil || len(gens) != 3 {
+		t.Fatalf("want 3 generations, have %v (%v)", gens, err)
+	}
+	for _, g := range gens[1:] {
+		if err := os.WriteFile(g, []byte("rotten"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.mustBoot(fault.OS{})
+	f.verifyBitIdentical(singleNode(t, objs).URL, objs)
+}

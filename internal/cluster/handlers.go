@@ -139,23 +139,6 @@ func (c *Coordinator) policy(w http.ResponseWriter, r *http.Request) (string, bo
 	return p, true
 }
 
-// decode parses a JSON body, reporting a structured 400 on failure.
-func (c *Coordinator) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			serverutil.WriteError(w, http.StatusBadRequest, "body_too_large",
-				fmt.Sprintf("request body exceeds %d bytes", mbe.Limit))
-			return false
-		}
-		serverutil.WriteError(w, http.StatusBadRequest, "bad_json", "bad request body: "+err.Error())
-		return false
-	}
-	return true
-}
-
 // shardList renders shard ids as "1,3".
 func shardList(ids []int) string {
 	parts := make([]string, len(ids))
@@ -241,7 +224,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var req objectRequest
-	if !c.decode(w, r, &req) {
+	if !serverutil.DecodeJSON(w, r, &req) {
 		return
 	}
 	// During a dual-read window the targets cover both the old and new
@@ -287,7 +270,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if merged == nil {
 		merged = []Entry{}
 	}
-	writeJSON(w, map[string]any{"matches": merged})
+	serverutil.WriteJSON(w, map[string]any{"matches": merged})
 }
 
 // joinRequest is the body of POST /join: a batch of objects joined
@@ -309,7 +292,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req joinRequest
-	if !c.decode(w, r, &req) {
+	if !serverutil.DecodeJSON(w, r, &req) {
 		return
 	}
 	targets, dual := c.gatherTargets()
@@ -370,7 +353,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if pairs == nil {
 		pairs = []joinPair{}
 	}
-	writeJSON(w, map[string]any{"pairs": pairs})
+	serverutil.WriteJSON(w, map[string]any{"pairs": pairs})
 }
 
 // similarityRequest is the body of POST /similarity.
@@ -381,7 +364,7 @@ type similarityRequest struct {
 
 func (c *Coordinator) handleSimilarity(w http.ResponseWriter, r *http.Request) {
 	var req similarityRequest
-	if !c.decode(w, r, &req) {
+	if !serverutil.DecodeJSON(w, r, &req) {
 		return
 	}
 	// Similarity is stateless over the shared hierarchy, so any shard
@@ -398,7 +381,7 @@ func (c *Coordinator) handleSimilarity(w http.ResponseWriter, r *http.Request) {
 			return cl.Similarity(ctx, req.X, req.Y)
 		})
 		if err == nil {
-			writeJSON(w, map[string]float64{"sim": res.Sim})
+			serverutil.WriteJSON(w, map[string]float64{"sim": res.Sim})
 			return
 		}
 		lastErr = err
@@ -445,7 +428,7 @@ func writeCtrlError(w http.ResponseWriter, status int, code string, err error) {
 
 func (c *Coordinator) handleAdd(w http.ResponseWriter, r *http.Request) {
 	var req objectRequest
-	if !c.decode(w, r, &req) {
+	if !serverutil.DecodeJSON(w, r, &req) {
 		return
 	}
 	// Adds serialize cluster-wide (see the addMu doc): global id order is
@@ -464,18 +447,18 @@ func (c *Coordinator) handleAdd(w http.ResponseWriter, r *http.Request) {
 	sh := c.shards[home]
 	expected := len(c.toGlobal[home])
 	c.mu.RUnlock()
-	durable := c.cw != nil
+	durable := c.log != nil
 	if durable {
 		// Fail fast once the log is poisoned: taking more adds into a state
 		// the log cannot vouch for only widens the gap recovery will erase.
-		if werr := c.cw.wal.Err(); werr != nil {
+		if werr := c.log.WAL().Err(); werr != nil {
 			writeCtrlError(w, http.StatusInternalServerError, "wal_failed", werr)
 			return
 		}
 		// Write-ahead intent: a crash between the shard add and its outcome
 		// record leaves this as the log's tail, and recovery settles it
 		// against the shard's object count.
-		if _, err := c.cw.appendSync(encAssignIntent(g, home, req.Tokens)); err != nil {
+		if _, err := c.appendSync(encAssignIntent(g, home, req.Tokens)); err != nil {
 			writeCtrlError(w, http.StatusInternalServerError, "wal_failed", err)
 			return
 		}
@@ -507,7 +490,7 @@ func (c *Coordinator) handleAdd(w http.ResponseWriter, r *http.Request) {
 		if durable {
 			// The ack below is written only after this record is durable: an
 			// acked id assignment survives any crash bit-identically.
-			if _, werr := c.cw.appendSync(encAssignDone(g, home, expected)); werr != nil {
+			if _, werr := c.appendSync(encAssignDone(g, home, expected)); werr != nil {
 				writeCtrlError(w, http.StatusInternalServerError, "wal_failed", werr)
 				return
 			}
@@ -518,7 +501,7 @@ func (c *Coordinator) handleAdd(w http.ResponseWriter, r *http.Request) {
 	case provablyNotApplied(err):
 		// The shard never indexed the object: close the intent with an
 		// abort record and surface the refusal.
-		if _, aerr := c.cw.appendSync(encAssignAbort(g)); aerr != nil {
+		if _, aerr := c.appendSync(encAssignAbort(g)); aerr != nil {
 			writeCtrlError(w, http.StatusInternalServerError, "wal_failed", aerr)
 			return
 		}
@@ -527,7 +510,7 @@ func (c *Coordinator) handleAdd(w http.ResponseWriter, r *http.Request) {
 	default:
 		// Ambiguous outcome (timed out mid-flight, connection dropped):
 		// settle the intent by counting, exactly as recovery would.
-		applied, _, rerr := c.resolveAmbiguous(recAssignIntent, g, home, home)
+		applied, rerr := c.resolveAmbiguous(recAssignIntent, g, home, home)
 		if rerr != nil {
 			writeCtrlError(w, http.StatusInternalServerError, "control_plane_failed", rerr)
 			return
@@ -600,7 +583,7 @@ func (c *Coordinator) handleAdd(w http.ResponseWriter, r *http.Request) {
 	for _, e := range merged {
 		pairs = append(pairs, pairJSON{X: e.Index, Y: g, Sim: e.Sim})
 	}
-	writeJSON(w, map[string]any{"id": g, "pairs": pairs})
+	serverutil.WriteJSON(w, map[string]any{"id": g, "pairs": pairs})
 }
 
 // addToShard runs the home-shard add. Adds are not idempotent — a
@@ -750,7 +733,7 @@ func (c *Coordinator) handleRoute(w http.ResponseWriter, r *http.Request) {
 	version := c.router.Version()
 	assign := c.router.Assign()
 	c.mu.RUnlock()
-	writeJSON(w, map[string]any{
+	serverutil.WriteJSON(w, map[string]any{
 		"version": version,
 		"algo":    "minhash-fnv1a64",
 		"assign":  assign,
@@ -793,18 +776,18 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		"reshard_moved_objects":   c.movedTotal.Load(),
 		"dual_read_total":         c.dualReadTotal.Load(),
 	}
-	if c.cw != nil {
-		out["coordinator_wal_last_seq"] = c.cw.wal.LastSeq()
-		out["coordinator_wal_durable_seq"] = c.cw.wal.DurableSeq()
-		out["coordinator_wal_healthy"] = c.cw.wal.Err() == nil
-		out["coordinator_snapshot_seq"] = c.cw.lastSnapSeq.Load()
+	if wl := c.log.WAL(); wl != nil {
+		out["coordinator_wal_last_seq"] = wl.LastSeq()
+		out["coordinator_wal_durable_seq"] = wl.DurableSeq()
+		out["coordinator_wal_healthy"] = wl.Err() == nil
+		out["coordinator_snapshot_seq"] = c.log.SnapshotSeq()
 		out["control_plane_healthy"] = c.controlErr() == nil
 	}
-	writeJSON(w, out)
+	serverutil.WriteJSON(w, out)
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, map[string]string{"status": "ok"})
+	serverutil.WriteJSON(w, map[string]string{"status": "ok"})
 }
 
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
@@ -812,13 +795,5 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		serverutil.WriteError(w, http.StatusServiceUnavailable, "draining", "coordinator is draining")
 		return
 	}
-	writeJSON(w, map[string]string{"status": "ready"})
-}
-
-// writeJSON writes the success response.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		return
-	}
+	serverutil.WriteJSON(w, map[string]string{"status": "ready"})
 }

@@ -27,9 +27,10 @@ import (
 )
 
 // errMoverHalt marks a control-plane invariant violation the mover must
-// not retry past: the coordinator latches the failure (failControl) and
-// refuses further control-plane writes until an operator intervenes.
-var errMoverHalt = errors.New("cluster: mover halted")
+// not retry past (and recovery must not start over): the coordinator
+// latches the failure (failControl) and refuses further control-plane
+// writes until an operator intervenes.
+var errMoverHalt = errors.New("cluster: control plane halted")
 
 // errClosedMidIntent is the mover or an add resolving an intent when the
 // coordinator shuts down: the intent stays unresolved in the log (the
@@ -90,16 +91,14 @@ func provablyNotApplied(err error) bool {
 }
 
 // resolveAmbiguous settles the unresolved intent for global id g
-// targeting shard target after an add whose outcome is unknown: the
-// target's object count says whether the add applied (see
-// resolvePending for the counting argument — addMu, held by the caller,
-// is what makes it unambiguous). The resolution is applied and logged
-// before return. A dead target is retried with backoff until it answers
-// or the coordinator closes — adds queue behind addMu meanwhile, which
-// is the safe direction: an unresolved intent followed by more records
-// would be unreplayable. Returns whether the add applied and at which
-// local id.
-func (c *Coordinator) resolveAmbiguous(kind string, g, src, target int) (applied bool, local int, err error) {
+// targeting shard target after an add whose outcome is unknown, by the
+// target's object count (settle — addMu, held by the caller, is what
+// makes the count unambiguous). A dead target is retried with backoff
+// until it answers or the coordinator closes — adds queue behind addMu
+// meanwhile, which is the safe direction: an unresolved intent followed
+// by more records would be unreplayable. Returns whether the add
+// applied.
+func (c *Coordinator) resolveAmbiguous(kind string, g, src, target int) (bool, error) {
 	c.mu.RLock()
 	primary := c.shards[target].cfg.Primary
 	c.mu.RUnlock()
@@ -109,50 +108,11 @@ func (c *Coordinator) resolveAmbiguous(kind string, g, src, target int) (applied
 		count, cerr := c.shardObjects(ctx, primary)
 		cancel()
 		if cerr == nil {
-			c.mu.RLock()
-			expected := len(c.toGlobal[target])
-			c.mu.RUnlock()
-			switch count {
-			case expected:
-				var rec []string
-				if kind == recAssignIntent {
-					rec = encAssignAbort(g)
-				} else {
-					rec = encMoveAbort(g)
-				}
-				if _, aerr := c.cw.appendSync(rec); aerr != nil {
-					return false, 0, fmt.Errorf("cluster: logging intent resolution: %w", aerr)
-				}
-				return false, 0, nil
-			case expected + 1:
-				if kind == recAssignIntent {
-					if aerr := c.applyAssign(g, target, expected); aerr != nil {
-						c.failControl(aerr)
-						return false, 0, fmt.Errorf("%w: %v", errMoverHalt, aerr)
-					}
-					if _, aerr := c.cw.appendSync(encAssignDone(g, target, expected)); aerr != nil {
-						return false, 0, fmt.Errorf("cluster: logging intent resolution: %w", aerr)
-					}
-				} else {
-					if aerr := c.applyMove(g, target, expected); aerr != nil {
-						c.failControl(aerr)
-						return false, 0, fmt.Errorf("%w: %v", errMoverHalt, aerr)
-					}
-					if _, aerr := c.cw.appendSync(encMoveDone(g, src, target, expected)); aerr != nil {
-						return false, 0, fmt.Errorf("cluster: logging intent resolution: %w", aerr)
-					}
-				}
-				return true, expected, nil
-			default:
-				err := fmt.Errorf("%w: shard %d reports %d objects, coordinator expected %d or %d: writes bypassed the coordinator",
-					errMoverHalt, target, count, expected, expected+1)
-				c.failControl(err)
-				return false, 0, err
-			}
+			return c.settle(kind, g, src, target, count)
 		}
 		if !c.sleepClosed(backoff) {
 			c.failControl(errClosedMidIntent)
-			return false, 0, errClosedMidIntent
+			return false, errClosedMidIntent
 		}
 		if backoff *= 2; backoff > time.Second {
 			backoff = time.Second
@@ -274,7 +234,7 @@ func (c *Coordinator) moveNext() (done bool, err error) {
 	if it == nil {
 		// Everything moved: finalize. Record first, then apply — exactly
 		// the order replay reproduces.
-		if _, err := c.cw.appendSync([]string{recReshardFinal, fmt.Sprint(vNext)}); err != nil {
+		if _, err := c.appendSync([]string{recReshardFinal, fmt.Sprint(vNext)}); err != nil {
 			return false, fmt.Errorf("cluster: logging finalize: %w", err)
 		}
 		if err := c.applyReshardFinalize(vNext); err != nil {
@@ -302,7 +262,7 @@ func (c *Coordinator) moveOne(it *moveItem) error {
 	if err != nil {
 		return fmt.Errorf("cluster: reading object %d off shard %d: %w", it.g, it.src, err)
 	}
-	if _, err := c.cw.appendSync(encMoveIntent(it.g, it.src, it.dst)); err != nil {
+	if _, err := c.appendSync(encMoveIntent(it.g, it.src, it.dst)); err != nil {
 		return fmt.Errorf("cluster: logging move-intent: %w", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ShardTimeout)
@@ -310,12 +270,12 @@ func (c *Coordinator) moveOne(it *moveItem) error {
 	cancel()
 	if aerr != nil {
 		if provablyNotApplied(aerr) {
-			if _, lerr := c.cw.appendSync(encMoveAbort(it.g)); lerr != nil {
+			if _, lerr := c.appendSync(encMoveAbort(it.g)); lerr != nil {
 				return fmt.Errorf("cluster: logging move-abort: %w", lerr)
 			}
 			return fmt.Errorf("cluster: moving object %d to shard %d: %w", it.g, it.dst, aerr)
 		}
-		applied, _, rerr := c.resolveAmbiguous(recMoveIntent, it.g, it.src, it.dst)
+		applied, rerr := c.resolveAmbiguous(recMoveIntent, it.g, it.src, it.dst)
 		if rerr != nil {
 			return rerr
 		}
@@ -334,7 +294,7 @@ func (c *Coordinator) moveOne(it *moveItem) error {
 		c.failControl(err)
 		return fmt.Errorf("%w: %v", errMoverHalt, err)
 	}
-	if _, err := c.cw.appendSync(encMoveDone(it.g, it.src, it.dst, res.ID)); err != nil {
+	if _, err := c.appendSync(encMoveDone(it.g, it.src, it.dst, res.ID)); err != nil {
 		return fmt.Errorf("cluster: logging move-done: %w", err)
 	}
 	return nil
@@ -358,7 +318,7 @@ type reshardRequest struct {
 // starts the mover. The scan and begin hold addMu, so the moving set is
 // exact — no add can slip between the scan and the new table.
 func (c *Coordinator) handleReshard(w http.ResponseWriter, r *http.Request) {
-	if c.cw == nil {
+	if c.log == nil {
 		serverutil.WriteError(w, http.StatusBadRequest, "not_durable",
 			"resharding requires a durable coordinator (start with a coordinator WAL)")
 		return
@@ -368,7 +328,7 @@ func (c *Coordinator) handleReshard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req reshardRequest
-	if !c.decode(w, r, &req) {
+	if !serverutil.DecodeJSON(w, r, &req) {
 		return
 	}
 	for i, sc := range req.Add {
@@ -442,7 +402,7 @@ func (c *Coordinator) handleReshard(w http.ResponseWriter, r *http.Request) {
 			items = append(items, moveItem{g: g, src: loc.shard, srcLocal: loc.local, dst: dst})
 		}
 	}
-	if _, err := c.cw.appendSync(encReshardBegin(vNew, assign, req.Add, items)); err != nil {
+	if _, err := c.appendSync(encReshardBegin(vNew, assign, req.Add, items)); err != nil {
 		writeCtrlError(w, http.StatusInternalServerError, "wal_failed", err)
 		return
 	}
@@ -453,7 +413,7 @@ func (c *Coordinator) handleReshard(w http.ResponseWriter, r *http.Request) {
 	}
 	c.startMover()
 	c.logf("cluster: reshard begun at route v%d: %d shard(s), %d object(s) moving", vNew, nNew, len(items))
-	writeJSON(w, map[string]any{"version": vNew, "shards": nNew, "moving": len(items)})
+	serverutil.WriteJSON(w, map[string]any{"version": vNew, "shards": nNew, "moving": len(items)})
 }
 
 // equalAssign reports whether two bucket→shard tables are identical.
@@ -474,7 +434,7 @@ func equalAssign(a, b []int) bool {
 // the pre-begin route table comes back under a bumped version. Objects
 // added under the new table keep serving from where they landed.
 func (c *Coordinator) handleReshardAbort(w http.ResponseWriter, r *http.Request) {
-	if c.cw == nil {
+	if c.log == nil {
 		serverutil.WriteError(w, http.StatusBadRequest, "not_durable", "this coordinator has no durable state")
 		return
 	}
@@ -492,7 +452,7 @@ func (c *Coordinator) handleReshardAbort(w http.ResponseWriter, r *http.Request)
 		serverutil.WriteError(w, http.StatusConflict, "no_reshard", "no migration is running")
 		return
 	}
-	if _, err := c.cw.appendSync([]string{recReshardAbort, fmt.Sprint(vAbort)}); err != nil {
+	if _, err := c.appendSync([]string{recReshardAbort, fmt.Sprint(vAbort)}); err != nil {
 		writeCtrlError(w, http.StatusInternalServerError, "wal_failed", err)
 		return
 	}
@@ -502,7 +462,7 @@ func (c *Coordinator) handleReshardAbort(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	c.logf("cluster: reshard aborted; route table restored at v%d", vAbort)
-	writeJSON(w, map[string]any{"version": vAbort, "state": "aborted"})
+	serverutil.WriteJSON(w, map[string]any{"version": vAbort, "state": "aborted"})
 }
 
 // handleReshardStatus reports the migration's progress.
@@ -516,7 +476,7 @@ func (c *Coordinator) handleReshardStatus(w http.ResponseWriter, r *http.Request
 	}
 	version := c.router.Version()
 	c.mu.RUnlock()
-	writeJSON(w, map[string]any{
+	serverutil.WriteJSON(w, map[string]any{
 		"state":         state,
 		"route_version": version,
 		"moved":         moved,

@@ -1,16 +1,12 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
-	"time"
 
 	"kjoin/internal/core"
-	"kjoin/internal/fault"
 	"kjoin/internal/hierarchy"
 	"kjoin/internal/serverutil"
 	"kjoin/internal/wal"
@@ -19,23 +15,7 @@ import (
 // Durability configures the crash-safety machinery: a write-ahead log
 // acknowledged adds are fsync'd into before the HTTP response, and a
 // directory of checksummed snapshot generations recovery rebuilds from.
-type Durability struct {
-	// FS is the filesystem (nil → the real one; tests inject faults).
-	FS fault.FS
-	// WALDir is the write-ahead-log directory (required).
-	WALDir string
-	// SnapshotDir is the snapshot generation directory (required; must
-	// differ from WALDir so WAL repair never touches snapshots).
-	SnapshotDir string
-	// Keep is how many snapshot generations are retained (default 3).
-	Keep int
-	// Policy is the WAL fsync policy (default wal.SyncAlways).
-	Policy wal.Policy
-	// BatchWindow is the WAL group-commit window (0 = fsync immediately).
-	BatchWindow time.Duration
-	// Logf, when set, receives recovery and repair notices.
-	Logf func(format string, args ...any)
-}
+type Durability = serverutil.Durability
 
 // NewRecovering returns a server that is up but not yet ready: /healthz
 // answers, /readyz reports 503 ("recovering"), and every expensive
@@ -53,85 +33,30 @@ func NewRecovering(h *hierarchy.Hierarchy, opt core.Options, cfg Config) (*Serve
 }
 
 // Recover rebuilds the index from the newest readable snapshot
-// generation plus the write-ahead log and flips the server ready.
-// Snapshot generations that fail to load (torn write, bit rot) are
-// skipped generation-by-generation; the WAL's torn tail — the legitimate
-// residue of a crash mid-append — is truncated at the first bad
-// checksum. Every record acknowledged before the crash is replayed;
+// generation plus the write-ahead log (serverutil.Open) and flips the
+// server ready. Every record acknowledged before the crash is replayed;
 // nothing that was never acknowledged can appear, because
 // unacknowledged records are either absent (fsync refused → rolled
-// back) or past the truncation point.
+// back) or past the torn-tail truncation point.
 func (s *Server) Recover(d Durability) error {
-	fsys := d.FS
-	if fsys == nil {
-		fsys = fault.OS{}
-	}
-	logf := d.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	gens := &serverutil.GenStore{FS: fsys, Dir: d.SnapshotDir, Keep: d.Keep, Logf: d.Logf}
 	var ix *core.Indexer
-	name, err := gens.Load(func(r io.Reader) error {
-		loaded, _, lerr := core.LoadIndexerMeta(s.h, s.opt, r)
-		if lerr != nil {
-			return lerr
-		}
-		ix = loaded
-		return nil
-	})
-	switch {
-	case errors.Is(err, serverutil.ErrNoSnapshot):
-		if ix, err = core.NewIndexer(s.h, s.opt); err != nil {
-			return err
-		}
-		logf("recovery: no snapshot; starting empty")
-	case err != nil:
-		return fmt.Errorf("server: load snapshot: %w", err)
-	default:
-		logf("recovery: loaded snapshot %s (%d objects, wal seq %d)", name, ix.Len(), ix.WALSeq())
-	}
-	base := ix.WALSeq()
-	// Seed the compaction floor from every generation still on disk, not
-	// just the one that loaded: the older ones remain fallback candidates
-	// (the newest may corrupt at rest later), so the WAL records they
-	// need must outlive them. A generation whose header cannot be read
-	// can never be a fallback and contributes nothing.
-	snapSeqs := []uint64{base}
-	if names, gerr := gens.Generations(); gerr == nil && len(names) > 0 {
-		snapSeqs = snapSeqs[:0]
-		for _, gn := range names {
-			f, oerr := gens.Open(gn)
-			if oerr != nil {
-				logf("recovery: generation %s unreadable (%v); ignored for the compaction floor", gn, oerr)
-				continue
+	l, err := serverutil.Open(d,
+		func(r io.Reader) (uint64, error) {
+			var err error
+			if r == nil {
+				ix, err = core.NewIndexer(s.h, s.opt)
+				return 0, err
 			}
-			m, perr := core.PeekSnapshotMeta(f)
-			_ = f.Close() // read-only; nothing written that a close could lose
-			if perr != nil {
-				logf("recovery: generation %s header corrupt (%v); ignored for the compaction floor", gn, perr)
-				continue
+			if ix, _, err = core.LoadIndexerMeta(s.h, s.opt, r); err != nil {
+				return 0, err
 			}
-			snapSeqs = append(snapSeqs, m.WALSeq)
-		}
-		if len(snapSeqs) == 0 {
-			snapSeqs = append(snapSeqs, base)
-		}
-		// Generation order should already be sequence order; sorting makes
-		// the floor (snapSeqs[0]) the minimum even if a header lies.
-		sort.Slice(snapSeqs, func(i, j int) bool { return snapSeqs[i] < snapSeqs[j] })
-	}
-	replayed := 0
-	var maxRec uint64 // highest record actually present in the log
-	w, err := wal.Open(fsys, d.WALDir, wal.Options{Policy: d.Policy, BatchWindow: d.BatchWindow, Logf: d.Logf},
+			return ix.WALSeq(), nil
+		},
+		func(r io.Reader) (uint64, error) {
+			m, err := core.PeekSnapshotMeta(r)
+			return m.WALSeq, err
+		},
 		func(seq uint64, op wal.Op, tokens []string) error {
-			if seq > maxRec {
-				maxRec = seq
-			}
-			if seq <= base {
-				return nil // already inside the snapshot (v3 snapshots carry the segment layout too)
-			}
-			replayed++
 			if op == wal.OpSeal {
 				// A logged seal boundary: reproduce the pre-crash segment
 				// layout by sealing at exactly the same point.
@@ -140,38 +65,20 @@ func (s *Server) Recover(d Durability) error {
 			return ix.ApplyLogged(seq, tokens)
 		})
 	if err != nil {
-		return fmt.Errorf("server: open wal: %w", err)
+		return fmt.Errorf("server: %w", err)
 	}
-	if w.LastSeq() < base {
-		_ = w.Close() // recovery already failed; the open error is the one to report
-		return fmt.Errorf("server: wal ends at seq %d but snapshot %s covers seq %d: log truncated or deleted out-of-band", w.LastSeq(), name, base)
+	if d.Logf != nil {
+		d.Logf("recovery: index at %d objects, wal seq %d", ix.Len(), ix.WALSeq())
 	}
-	// The log's numbering can outrun its records: compaction leaves a
-	// fresh segment whose name is the only on-disk trace of how far
-	// acknowledged writes advanced. Records compacted away are only safe
-	// to lose under a snapshot that covers them — if the one we loaded
-	// does not, acknowledged adds are unrecoverable, and recovery must
-	// say so instead of silently serving a shorter index.
-	if tail := w.LastSeq(); tail > base && tail > maxRec {
-		_ = w.Close() // recovery already failed; the gap error is the one to report
-		return fmt.Errorf("server: wal numbering reaches seq %d but its records end at seq %d and snapshot %s covers only seq %d: acknowledged adds were compacted away", tail, maxRec, name, base)
-	}
-	logf("recovery: replayed %d wal record(s); index at %d objects, wal seq %d", replayed, ix.Len(), ix.WALSeq())
 	// The seal logger goes in only after replay: replayed seals are
 	// already in the log, and re-logging them would duplicate boundaries.
 	// From here on, every seal the engine performs writes its OpSeal
 	// record before the engine mutates.
-	ix.SetSealLogger(w.AppendSeal)
+	ix.SetSealLogger(l.WAL().AppendSeal)
 	s.mu.Lock()
 	s.ix.Store(ix)
-	s.wal.Store(w)
-	s.gens = gens
+	s.log.Store(l)
 	s.mu.Unlock()
-	s.snapMu.Lock()
-	s.snapSeqs = append(s.snapSeqs[:0], snapSeqs...)
-	s.snapMu.Unlock()
-	s.lastSnapSeq.Store(base)
-	s.snapOnDisk.Store(name != "")
 	s.ready.Store(true)
 	return nil
 }
@@ -191,92 +98,55 @@ func Recover(h *hierarchy.Hierarchy, opt core.Options, cfg Config, d Durability)
 }
 
 // SnapshotGeneration persists the index as a new snapshot generation
-// and compacts the WAL. The order is what makes it crash-safe: the
-// index (and the WAL sequence it reflects) is serialized under the read
-// lock, the log is fsync'd through that sequence so the snapshot can
-// never contain a record the log might refuse, the generation is
-// written atomically and CURRENT repointed — and only then is the WAL
-// compacted, no further than the oldest generation still retained, so
-// fallback past a corrupt newest generation always has the log records
-// it needs.
+// and compacts the WAL (serverutil.Log.Snapshot). The view is pinned
+// under the read lock and serialized outside every lock, so writers
+// keep flowing while the bytes are produced.
 func (s *Server) SnapshotGeneration() error {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	s.mu.RLock()
-	w, gens := s.wal.Load(), s.gens
-	pv := s.ix.Load().Pin()
-	seq := pv.WALSeq()
-	// An idle server does not churn generations: when nothing advanced
-	// since the last durable generation there is nothing to persist.
-	skip := s.snapOnDisk.Load() && seq == s.lastSnapSeq.Load()
-	// A poisoned log refuses the snapshot outright. The Sync below is
-	// not enough: after a failed Append the rejected object sits in the
-	// index while the durable sequence never advanced, so a sync on that
-	// stale sequence succeeds — and the snapshot would durably persist
-	// an add whose acknowledgment was refused. Appends serialize under
-	// the write lock, so with the check made under the read lock the
-	// pinned view can never contain such an object while Err reads nil.
-	var poisoned error
-	if w != nil {
-		poisoned = w.Err()
-	}
-	s.mu.RUnlock()
-	if gens == nil {
+	l := s.log.Load()
+	if l == nil {
 		return errors.New("server: durability not configured")
 	}
-	if poisoned != nil {
-		return fmt.Errorf("server: wal unhealthy; refusing snapshot: %w", poisoned)
-	}
-	if skip {
-		return nil
-	}
-	// Serialization happens outside every lock: the pinned view is
-	// immutable, so writers keep flowing while the bytes are produced.
-	var buf bytes.Buffer
-	if err := pv.WriteSnapshot(&buf); err != nil {
-		return err
-	}
-	if w != nil {
-		// Sync-path poisoning can still race in after the check above; it
-		// only ever affects records past the durable point, and those make
-		// seq > synced here, so this sync takes the slow path and refuses.
-		if err := w.Sync(seq); err != nil {
-			return fmt.Errorf("server: wal sync before snapshot: %w", err)
+	err := l.Snapshot(func() (uint64, func(io.Writer) error, error) {
+		pv, _, err := s.pin()
+		if err != nil {
+			return 0, nil, err
 		}
-	}
-	name, err := gens.Save(func(dst io.Writer) error {
-		_, werr := dst.Write(buf.Bytes())
-		return werr
+		return pv.WALSeq(), pv.WriteSnapshot, nil
 	})
 	if err != nil {
-		return err
-	}
-	s.lastSnapSeq.Store(seq)
-	s.snapOnDisk.Store(true)
-	keep := gens.Keep
-	if keep < 1 {
-		keep = 3
-	}
-	s.snapSeqs = append(s.snapSeqs, seq)
-	if len(s.snapSeqs) > keep {
-		s.snapSeqs = s.snapSeqs[len(s.snapSeqs)-keep:]
-	}
-	if w != nil {
-		if err := w.Compact(s.snapSeqs[0]); err != nil {
-			return fmt.Errorf("server: compact wal after %s: %w", name, err)
-		}
+		return fmt.Errorf("server: %w", err)
 	}
 	return nil
+}
+
+// pin pins the index for a snapshot and returns it with the WAL (nil
+// without durability). A poisoned log refuses outright, and the read
+// lock is what makes that check sound: after a failed Append the
+// rejected object sits in the index while the durable sequence never
+// advanced, so a sync on that stale sequence succeeds — and the snapshot
+// would durably persist an add whose acknowledgment was refused. Appends
+// serialize under the write lock, so with the check made under the read
+// lock the pinned view can never contain such an object while Err reads
+// nil.
+func (s *Server) pin() (*core.PinnedView, *wal.WAL, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	w := s.log.Load().WAL()
+	if w != nil {
+		if err := w.Err(); err != nil {
+			return nil, nil, fmt.Errorf("wal unhealthy; refusing snapshot: %w", err)
+		}
+	}
+	return s.ix.Load().Pin(), w, nil
 }
 
 // Close syncs and closes the WAL (a no-op without durability). The
 // server keeps serving reads afterwards; adds fail.
 func (s *Server) Close() error {
-	w := s.wal.Load()
-	if w == nil {
-		return nil
+	if w := s.log.Load().WAL(); w != nil {
+		return w.Close()
 	}
-	return w.Close()
+	return nil
 }
 
 // notReady gates an endpoint on recovery having finished.

@@ -254,7 +254,7 @@ func (s *Server) staleGate(next http.Handler) http.Handler {
 // Gone with the floor in a header — the follower must resync from a
 // snapshot, and silently skipping ahead would hide lost records.
 func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
-	wlog := s.wal.Load()
+	wlog := s.log.Load().WAL()
 	if wlog == nil {
 		serverutil.WriteError(w, http.StatusServiceUnavailable, "replication_unavailable",
 			"this server has no write-ahead log to stream (durability not configured)")
@@ -339,10 +339,10 @@ func (s *Server) handleReplicaSnapshot(w http.ResponseWriter, r *http.Request) {
 	_, _ = io.Copy(w, buf)
 }
 
-// SnapshotBuffer serializes the index under the read lock and — when a
-// WAL is configured — refuses while the log is poisoned and syncs the
-// log through the snapshot's sequence, exactly like SnapshotGeneration.
-// It returns the buffer and the WAL sequence the snapshot covers.
+// SnapshotBuffer serializes the index pinned the way SnapshotGeneration
+// pins it (refusing while the log is poisoned) and — when a WAL is
+// configured — syncs the log through the snapshot's sequence. It
+// returns the buffer and the WAL sequence the snapshot covers.
 // Followers also use it to persist their local catch-up snapshots
 // (where no WAL is configured and the sync is a no-op).
 //
@@ -353,16 +353,9 @@ func (s *Server) handleReplicaSnapshot(w http.ResponseWriter, r *http.Request) {
 //
 //kjoinlint:ackorder barrier
 func (s *Server) SnapshotBuffer() (*bytes.Buffer, uint64, error) {
-	s.mu.RLock()
-	wlog := s.wal.Load()
-	pv := s.ix.Load().Pin()
-	var poisoned error
-	if wlog != nil {
-		poisoned = wlog.Err()
-	}
-	s.mu.RUnlock()
-	if poisoned != nil {
-		return nil, 0, fmt.Errorf("server: wal unhealthy; refusing snapshot: %w", poisoned)
+	pv, wlog, err := s.pin()
+	if err != nil {
+		return nil, 0, fmt.Errorf("server: %w", err)
 	}
 	seq := pv.WALSeq()
 	var buf bytes.Buffer

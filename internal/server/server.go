@@ -21,7 +21,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -35,7 +34,6 @@ import (
 	"kjoin/internal/hierarchy"
 	"kjoin/internal/rng"
 	"kjoin/internal/serverutil"
-	"kjoin/internal/wal"
 )
 
 // Config bounds the resources a single request (or a burst of them) can
@@ -112,24 +110,16 @@ type Server struct {
 	// stats and snapshot pins are lock-free against the engine; only the
 	// add path still serializes (under mu, see above).
 	ix atomic.Pointer[core.Indexer]
-	// wal, when durability is configured, is the write-ahead log every
-	// acknowledged add is fsync'd into (installed by Recover, nil
-	// before); gens is the snapshot generation store recovery rebuilds
-	// from.
-	wal      atomic.Pointer[wal.WAL]
-	gens     *serverutil.GenStore // guarded by mu
+	// log, when durability is configured, is the write-ahead log every
+	// acknowledged add is fsync'd into, bound to the snapshot generations
+	// recovery rebuilds from (installed by Recover, nil before).
+	log      atomic.Pointer[serverutil.Log]
 	sem      *serverutil.Semaphore
 	handler  http.Handler
 	draining atomic.Bool
 	// ready is false from NewRecovering until Recover completes;
 	// expensive endpoints and /readyz report 503 while it is down.
 	ready atomic.Bool
-	// lastSnapSeq is the WAL sequence the newest durable snapshot
-	// generation covers (for the wal_lag statistic); snapOnDisk records
-	// that at least one generation actually exists, so an idle server
-	// can skip rewriting identical snapshots.
-	lastSnapSeq atomic.Uint64
-	snapOnDisk  atomic.Bool
 
 	// replica is non-nil on a follower: the server is read-only (adds are
 	// rejected), /query passes a bounded-staleness gate, and /stats
@@ -142,15 +132,6 @@ type Server struct {
 	//kjoinlint:lockorder rank=60
 	pollMu sync.Mutex
 	pollR  *rng.RNG // guarded by pollMu
-
-	// snapMu serializes snapshot generations against each other.
-	//kjoinlint:lockorder rank=10
-	snapMu sync.Mutex
-	// snapSeqs holds the WAL sequence of each retained snapshot
-	// generation, oldest first — the WAL may only be compacted up to
-	// snapSeqs[0], or falling back past a corrupt newest generation
-	// would find the log records it needs already deleted.
-	snapSeqs []uint64 // guarded by snapMu
 }
 
 // New returns a server over the hierarchy with the join options and
@@ -241,7 +222,7 @@ func (s *Server) SnapshotTo(path string) error {
 
 // handleHealthz is liveness: the process is up and serving.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, map[string]string{"status": "ok"})
+	serverutil.WriteJSON(w, map[string]string{"status": "ok"})
 }
 
 // handleReadyz is readiness: whether new traffic should be routed here.
@@ -254,7 +235,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		serverutil.WriteError(w, http.StatusServiceUnavailable, "draining", "server is draining")
 		return
 	}
-	writeJSON(w, map[string]string{"status": "ready"})
+	serverutil.WriteJSON(w, map[string]string{"status": "ready"})
 }
 
 // handleSnapshot streams the current index contents as a snapshot the
@@ -295,12 +276,12 @@ type addResponse struct {
 
 func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	var req objectRequest
-	if !s.decode(w, r, &req) || !s.checkTokens(w, req.Tokens) {
+	if !serverutil.DecodeJSON(w, r, &req) || !s.checkTokens(w, req.Tokens) {
 		return
 	}
 	s.mu.Lock()
 	ix := s.ix.Load()
-	wlog := s.wal.Load()
+	wlog := s.log.Load().WAL()
 	// Fail fast once the log is poisoned: taking more adds into an index
 	// the log cannot vouch for only widens the gap recovery will erase.
 	if wlog != nil {
@@ -354,7 +335,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	for _, p := range pairs {
 		resp.Pairs = append(resp.Pairs, pairJSON{X: p.X, Y: p.Y, Sim: p.Sim})
 	}
-	writeJSON(w, resp)
+	serverutil.WriteJSON(w, resp)
 }
 
 // handleGetObject serves one indexed object's normalized tokens by
@@ -376,7 +357,7 @@ func (s *Server) handleGetObject(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("object %d is not indexed here (have %d)", id, pv.Objects()))
 		return
 	}
-	writeJSON(w, map[string]any{"id": id, "tokens": tokens})
+	serverutil.WriteJSON(w, map[string]any{"id": id, "tokens": tokens})
 }
 
 // matchJSON is one POST /query result.
@@ -387,7 +368,7 @@ type matchJSON struct {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req objectRequest
-	if !s.decode(w, r, &req) || !s.checkTokens(w, req.Tokens) {
+	if !serverutil.DecodeJSON(w, r, &req) || !s.checkTokens(w, req.Tokens) {
 		return
 	}
 	// The whole query path is lock-free at the server layer: PrepareQuery
@@ -409,7 +390,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	for _, m := range matches {
 		out = append(out, matchJSON{Index: m.Index, Sim: m.Sim})
 	}
-	writeJSON(w, map[string]any{"matches": out})
+	serverutil.WriteJSON(w, map[string]any{"matches": out})
 }
 
 // similarityRequest is the body of POST /similarity.
@@ -420,7 +401,7 @@ type similarityRequest struct {
 
 func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
 	var req similarityRequest
-	if !s.decode(w, r, &req) || !s.checkTokens(w, req.X) || !s.checkTokens(w, req.Y) {
+	if !serverutil.DecodeJSON(w, r, &req) || !s.checkTokens(w, req.X) || !s.checkTokens(w, req.Y) {
 		return
 	}
 	// Similarity builds its own transient state over the shared
@@ -430,7 +411,7 @@ func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
 		s.joinError(w, err)
 		return
 	}
-	writeJSON(w, map[string]float64{"sim": sim})
+	serverutil.WriteJSON(w, map[string]float64{"sim": sim})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -438,7 +419,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := ix.Stats()
 	n := ix.Len()
 	seg := ix.SegmentStats()
-	wlog := s.wal.Load()
 	out := map[string]any{
 		"objects":          n,
 		"candidates":       st.Candidates,
@@ -455,8 +435,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"merge_total":      seg.MergeTotal,
 		"merge_backlog":    seg.MergeBacklog,
 	}
-	if wlog != nil {
-		last, durable, snap := wlog.LastSeq(), wlog.DurableSeq(), s.lastSnapSeq.Load()
+	if l := s.log.Load(); l != nil {
+		wlog := l.WAL()
+		last, durable, snap := wlog.LastSeq(), wlog.DurableSeq(), l.SnapshotSeq()
 		out["wal_last_seq"] = last
 		out["wal_durable_seq"] = durable
 		out["snapshot_seq"] = snap
@@ -473,25 +454,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		// catch-up.
 		out["replica_lag"] = rs.lagSeconds()
 	}
-	writeJSON(w, out)
-}
-
-// decode parses a JSON body, reporting a structured 400 on failure and
-// distinguishing an over-cap body from malformed JSON.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			serverutil.WriteError(w, http.StatusBadRequest, "body_too_large",
-				fmt.Sprintf("request body exceeds %d bytes", mbe.Limit))
-			return false
-		}
-		serverutil.WriteError(w, http.StatusBadRequest, "bad_json", "bad request body: "+err.Error())
-		return false
-	}
-	return true
+	serverutil.WriteJSON(w, out)
 }
 
 // checkTokens enforces the configured token-count and token-length caps
@@ -535,17 +498,5 @@ func (s *Server) opError(w http.ResponseWriter, code string, err error) {
 		// Client went away; there is no one to answer.
 	default:
 		serverutil.WriteError(w, http.StatusInternalServerError, code, err.Error())
-	}
-}
-
-// writeJSON writes the success response. ackorder proves no handler
-// reaches it with an unsynced WAL append pending.
-//
-//kjoinlint:ackorder ack
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers are already sent; nothing more to do.
-		return
 	}
 }

@@ -179,7 +179,7 @@ func (g *GenStore) Load(load func(r io.Reader) error) (string, error) {
 	}
 	var lastErr error
 	for _, name := range candidates {
-		f, err := fsys.OpenFile(g.Dir+"/"+name, os.O_RDONLY, 0)
+		f, err := g.open(name)
 		if err != nil {
 			g.logf("snapshot: cannot open generation %s (%v); falling back", name, err)
 			lastErr = err
@@ -197,33 +197,14 @@ func (g *GenStore) Load(load func(r io.Reader) error) (string, error) {
 	return "", fmt.Errorf("serverutil: every snapshot generation failed to load: %w", lastErr)
 }
 
-// Generations returns the names of every generation on disk, oldest
-// first (empty when the directory holds none). Recovery uses it to
-// learn about generations beyond the one it loaded — they are still
-// fallback candidates, and compaction must not outrun them.
-func (g *GenStore) Generations() ([]string, error) {
-	if err := g.fs().MkdirAll(g.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("serverutil: mkdir %s: %w", g.Dir, err)
-	}
-	gens, err := g.scan()
-	if err != nil {
-		return nil, fmt.Errorf("serverutil: scan %s: %w", g.Dir, err)
-	}
-	names := make([]string, len(gens))
-	for i, n := range gens {
-		names[i] = genName(n)
-	}
-	return names, nil
-}
-
-// Open opens one generation file for reading; the caller closes it.
-func (g *GenStore) Open(name string) (fault.File, error) {
+// open opens one file of the store for reading; the caller closes it.
+func (g *GenStore) open(name string) (fault.File, error) {
 	return g.fs().OpenFile(g.Dir+"/"+name, os.O_RDONLY, 0)
 }
 
 // readCurrent returns the generation name CURRENT points at.
 func (g *GenStore) readCurrent() (string, error) {
-	f, err := g.fs().OpenFile(g.Dir+"/"+currentName, os.O_RDONLY, 0)
+	f, err := g.open(currentName)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return "", nil

@@ -1,13 +1,17 @@
 // Package serverutil holds the production-hardening building blocks of
 // the kjoin HTTP service: panic recovery, admission control, per-request
-// deadlines, body size caps, structured JSON errors, atomic file writes
-// and a background snapshotter. It is deliberately independent of the
-// join engine so the server package composes it freely.
+// deadlines, body size caps, JSON request/response helpers and
+// structured errors, atomic file writes, snapshot generations, the
+// durable-log kernel (recovery and snapshot→compact) and a background
+// snapshotter. It is deliberately independent of the join engine so the
+// server and the cluster coordinator compose it freely.
 package serverutil
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -40,6 +44,34 @@ func WriteError(w http.ResponseWriter, status int, code, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(ErrorBody{Error: msg, Code: code})
+}
+
+// WriteJSON writes a success response. ackorder proves no handler
+// reaches it with an unsynced WAL append pending.
+//
+//kjoinlint:ackorder ack
+func WriteJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(v) // headers are already sent; nothing more to do
+}
+
+// DecodeJSON parses a JSON request body into v, rejecting unknown
+// fields. On failure it writes a structured 400 — distinguishing an
+// over-cap body (LimitBody) from malformed JSON — and returns false.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var mbe *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &mbe):
+		WriteError(w, http.StatusBadRequest, "body_too_large", fmt.Sprintf("request body exceeds %d bytes", mbe.Limit))
+	default:
+		WriteError(w, http.StatusBadRequest, "bad_json", "bad request body: "+err.Error())
+	}
+	return false
 }
 
 // Recover converts a handler panic into a 500 response instead of
