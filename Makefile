@@ -103,11 +103,13 @@ replication-smoke:
 # mid-frame truncation, flapping breaker, deadline expiry mid-gather,
 # replica hedging and fail-over), asserting coverage headers, breaker
 # transitions, no goroutine leaks, and full-coverage answers
-# bit-identical to the single-node engine.
+# bit-identical to the single-node engine — plus the shared HTTP edge
+# both tiers run on: the deadline header, the probes, the error mapper
+# and the outbound shard call that forwards the remaining budget.
 cluster-smoke:
 	$(GO) test -race -count=1 ./internal/cluster/
-	$(GO) test -race -count=1 -run 'TestClientHonorsRetryAfter|TestClientRetryAfterCappedByContext|TestClientSimilarity|TestNetInjector' \
-		./internal/replica/ ./internal/fault/
+	$(GO) test -race -count=1 -run 'TestClientHonorsRetryAfter|TestClientRetryAfterCappedByContext|TestClientSimilarity|TestNetInjector|TestCallForwardsDeadlineAndStatus|TestEdge|TestFailMapsErrors' \
+		./internal/replica/ ./internal/fault/ ./internal/serverutil/
 	$(GO) test -race -count=1 -run 'TestFlagsClusterConfig|TestFlagsRejectLoudly' ./cmd/kjoin-serve/
 	$(GO) test -race -count=1 -run 'TestStreamPollJitterBandAndDeterminism' ./internal/server/
 

@@ -1,16 +1,17 @@
-// Package errform keeps HTTP error responses structured. The server's
-// contract (PR 1) is that invalid input surfaces as *core.InputError
-// and is mapped to the structured 400 JSON body; dumping err.Error()
-// straight into a response both leaks internals and silently bypasses
-// that mapping. The analyzer checks every function that takes an
-// http.ResponseWriter:
+// Package errform keeps HTTP error responses structured. The service's
+// contract is that invalid input surfaces as *core.InputError and is
+// mapped to the structured 400 JSON body by serverutil.Fail, the one
+// error mapper every tier (shard server, replica, coordinator) answers
+// failures through; dumping err.Error() straight into a response both
+// leaks internals and silently bypasses that mapping. The analyzer
+// checks every function that takes an http.ResponseWriter:
 //
 //   - calls to http.Error are always flagged — the structured path is
-//     serverutil.WriteError (or the server's error mapper);
+//     serverutil.WriteError (or serverutil.Fail for an error value);
 //   - stringifying an error (err.Error()) is only allowed in functions
 //     that first classify the error with errors.As or errors.Is — the
-//     shape of the InputError-aware mapper. A handler that stringifies
-//     an unclassified error would send input errors down the 500 path.
+//     shape of serverutil.Fail. A handler that stringifies an
+//     unclassified error would send input errors down the 500 path.
 package errform
 
 import (
@@ -69,11 +70,11 @@ func checkHandler(pass *analysis.Pass, fn *ast.FuncDecl) {
 			return true
 		}
 		if isPkgFunc(pass, sel, "net/http", "Error") {
-			pass.Reportf(call.Pos(), "http.Error writes a plain-text body; use the structured JSON error path (serverutil.WriteError or the *core.InputError-aware mapper)")
+			pass.Reportf(call.Pos(), "http.Error writes a plain-text body; use the structured JSON error path (serverutil.WriteError, or serverutil.Fail for an error value)")
 			return true
 		}
 		if sel.Sel.Name == "Error" && len(call.Args) == 0 && isErrorValue(pass, sel.X) && !classifies {
-			pass.Reportf(call.Pos(), "err.Error() in HTTP handler %s without errors.As/errors.Is classification; route through the *core.InputError-aware mapper so invalid input gets the structured 400", fn.Name.Name)
+			pass.Reportf(call.Pos(), "err.Error() in HTTP handler %s without errors.As/errors.Is classification; route through serverutil.Fail so invalid input gets the structured 400", fn.Name.Name)
 		}
 		return true
 	})

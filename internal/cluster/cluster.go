@@ -56,7 +56,7 @@ type ShardConfig struct {
 type Config struct {
 	// Shards is the fixed shard set (required, at least one).
 	Shards []ShardConfig
-	// RequestTimeout is the whole-request deadline budget (default 15s).
+	// RequestTimeout is the whole-request deadline budget (default 30s).
 	// A request may shrink its own budget with an X-Kjoin-Deadline-Ms
 	// header; it cannot grow it.
 	RequestTimeout time.Duration
@@ -91,7 +91,8 @@ type Config struct {
 	// requests override it with an X-Kjoin-Partial header.
 	Partial string
 	// MaxBodyBytes caps a request body (default 1 MiB); MaxInflight
-	// bounds concurrently executing requests (default 64).
+	// bounds concurrently executing requests (default 64). These, the
+	// RequestTimeout, Seed and Logf configure the serverutil.Edge.
 	MaxBodyBytes int64
 	MaxInflight  int
 	// MoveThrottle, when positive, pauses the reshard mover between
@@ -107,9 +108,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 15 * time.Second
-	}
 	if c.ShardTimeout == 0 {
 		c.ShardTimeout = 2 * time.Second
 	}
@@ -143,15 +141,6 @@ func (c Config) withDefaults() Config {
 	if c.Partial == "" {
 		c.Partial = PartialDegrade
 	}
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	if c.MaxInflight == 0 {
-		c.MaxInflight = 64
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	return c
 }
 
@@ -184,9 +173,11 @@ type objLoc struct {
 // is acknowledged, so a killed-and-restarted coordinator answers
 // bit-identically to one that never died.
 type Coordinator struct {
+	// Edge is the shared HTTP edge: probes, admission, deadlines and body
+	// caps. Recovery runs before the listener starts, so it is always ready.
+	*serverutil.Edge
 	cfg     Config
 	budget  *retryBudget
-	sem     *serverutil.Semaphore
 	handler http.Handler
 
 	// addMu serializes cluster adds end-to-end (home-shard add, global
@@ -234,7 +225,6 @@ type Coordinator struct {
 	jmu sync.Mutex
 	jr  *rng.RNG // guarded by jmu
 
-	draining      atomic.Bool
 	rr            atomic.Int64 // round-robin cursor for /similarity
 	retriesTotal  atomic.Int64
 	partialTotal  atomic.Int64
@@ -268,7 +258,7 @@ func (c *Coordinator) newShard(id int, sc ShardConfig) *shard {
 			HTTP:       c.cfg.HTTP,
 			TryTimeout: c.cfg.ShardTimeout,
 			HedgeDelay: c.cfg.HedgeDelay,
-			Seed:       c.cfg.Seed + uint64(id) + 1,
+			Seed:       c.Edge.Seed + uint64(id) + 1,
 		},
 		breaker: NewBreaker(c.cfg.BreakerThreshold, c.cfg.BreakerCooldown),
 	}
@@ -286,14 +276,16 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Partial != PartialFail && cfg.Partial != PartialDegrade {
 		return nil, fmt.Errorf("cluster: unknown partial policy %q", cfg.Partial)
 	}
+	e := serverutil.NewEdge(serverutil.Limits{MaxBodyBytes: cfg.MaxBodyBytes, MaxInflight: cfg.MaxInflight,
+		RequestTimeout: cfg.RequestTimeout, Seed: cfg.Seed, Logf: cfg.Logf})
 	c := &Coordinator{
+		Edge:     e,
 		cfg:      cfg,
 		router:   NewRouter(len(cfg.Shards)),
 		budget:   newRetryBudget(cfg.RetryBudget, cfg.RetryBudgetEarn),
-		sem:      serverutil.NewSemaphore(cfg.MaxInflight),
 		toGlobal: make([][]int, len(cfg.Shards)),
 		live:     make([]int, len(cfg.Shards)),
-		jr:       rng.New(cfg.Seed),
+		jr:       rng.New(e.Seed),
 		closed:   make(chan struct{}),
 	}
 	for i, sc := range cfg.Shards {
@@ -302,7 +294,7 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		c.shards = append(c.shards, c.newShard(i, sc))
 	}
-	c.handler = serverutil.Chain(c.mux(), serverutil.Recover(cfg.Logf))
+	c.handler = c.mux()
 	return c, nil
 }
 
@@ -310,10 +302,6 @@ func New(cfg Config) (*Coordinator, error) {
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	c.handler.ServeHTTP(w, r)
 }
-
-// SetDraining flips the readiness probe so load balancers stop routing
-// new traffic here; serving itself is unaffected.
-func (c *Coordinator) SetDraining(v bool) { c.draining.Store(v) }
 
 // Close stops the reshard mover (waiting for it to exit) and closes the
 // coordinator WAL. The coordinator keeps serving reads afterwards; adds

@@ -26,7 +26,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -35,6 +34,7 @@ import (
 	"strconv"
 	"strings"
 
+	"kjoin/internal/replica"
 	"kjoin/internal/serverutil"
 	"kjoin/internal/wal"
 )
@@ -937,33 +937,13 @@ func (c *Coordinator) settle(kind string, g, src, target, count int) (bool, erro
 
 // shardObjects asks one shard primary how many objects it holds.
 func (c *Coordinator) shardObjects(ctx context.Context, primary string) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, primary+"/stats", nil)
-	if err != nil {
-		return 0, err
-	}
-	hc := c.cfg.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("cluster: %s/stats: status %d", primary, resp.StatusCode)
-	}
 	var out struct {
 		Objects *int `json:"objects"`
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
+	if _, err := replica.Call(ctx, c.cfg.HTTP, http.MethodGet, primary, "/stats", nil, &out); err != nil {
 		return 0, err
 	}
-	if err := json.Unmarshal(body, &out); err != nil || out.Objects == nil {
+	if out.Objects == nil {
 		return 0, fmt.Errorf("cluster: %s/stats: bad body", primary)
 	}
 	return *out.Objects, nil

@@ -1,19 +1,15 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"kjoin/internal/core"
 	"kjoin/internal/replica"
 	"kjoin/internal/serverutil"
 )
@@ -24,8 +20,9 @@ const (
 	// ("fail" or "degrade"); absent means the configured default.
 	HeaderPartial = "X-Kjoin-Partial"
 	// HeaderDeadlineMs shrinks the request's deadline budget below the
-	// configured RequestTimeout (milliseconds; it cannot grow it).
-	HeaderDeadlineMs = "X-Kjoin-Deadline-Ms"
+	// configured RequestTimeout (milliseconds; it cannot grow it). Every
+	// shard call forwards the remaining budget in it.
+	HeaderDeadlineMs = serverutil.HeaderDeadlineMs
 	// HeaderCoverage reports gather coverage as "k/n": k of n shards
 	// contributed to the answer.
 	HeaderCoverage = "X-Kjoin-Coverage"
@@ -46,56 +43,20 @@ const (
 
 func (c *Coordinator) mux() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("POST /objects", c.limited(c.routeGate(http.HandlerFunc(c.handleAdd))))
-	mux.Handle("POST /query", c.limited(c.routeGate(http.HandlerFunc(c.handleQuery))))
-	mux.Handle("POST /join", c.limited(c.routeGate(http.HandlerFunc(c.handleJoin))))
-	mux.Handle("POST /similarity", c.limited(http.HandlerFunc(c.handleSimilarity)))
+	mux.Handle("POST /objects", c.Limited(c.routeGate(http.HandlerFunc(c.handleAdd))))
+	mux.Handle("POST /query", c.Limited(c.routeGate(http.HandlerFunc(c.handleQuery))))
+	mux.Handle("POST /join", c.Limited(c.routeGate(http.HandlerFunc(c.handleJoin))))
+	mux.Handle("POST /similarity", c.Limited(http.HandlerFunc(c.handleSimilarity)))
 	// The reshard endpoints skip the admission gate and request deadline:
 	// they are rare control operations whose begin scan is allowed to
 	// outlive a data-plane deadline, and shedding one under load would
 	// only postpone draining that load off the hot shard.
-	mux.Handle("POST /cluster/reshard", serverutil.Chain(http.HandlerFunc(c.handleReshard), serverutil.LimitBody(c.cfg.MaxBodyBytes)))
+	mux.Handle("POST /cluster/reshard", serverutil.LimitBody(c.Edge.MaxBodyBytes)(http.HandlerFunc(c.handleReshard)))
 	mux.HandleFunc("POST /cluster/reshard/abort", c.handleReshardAbort)
 	mux.HandleFunc("GET /cluster/reshard", c.handleReshardStatus)
 	mux.HandleFunc("GET /cluster/route", c.handleRoute)
 	mux.HandleFunc("GET /stats", c.handleStats)
-	mux.HandleFunc("GET /healthz", c.handleHealthz)
-	mux.HandleFunc("GET /readyz", c.handleReadyz)
-	return mux
-}
-
-// limited is the coordinator's protection stack: admission control
-// first (shed before spending), then the deadline budget, then the
-// body cap.
-func (c *Coordinator) limited(h http.Handler) http.Handler {
-	return serverutil.Chain(h,
-		serverutil.Admit(c.sem, time.Second, 3*time.Second, c.cfg.Seed),
-		c.deadline,
-		serverutil.LimitBody(c.cfg.MaxBodyBytes),
-	)
-}
-
-// deadline attaches the request's deadline budget: the configured
-// RequestTimeout, shrunk by an X-Kjoin-Deadline-Ms header when the
-// caller wants a tighter bound.
-func (c *Coordinator) deadline(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		d := c.cfg.RequestTimeout
-		if h := r.Header.Get(HeaderDeadlineMs); h != "" {
-			ms, err := strconv.Atoi(h)
-			if err != nil || ms <= 0 {
-				serverutil.WriteError(w, http.StatusBadRequest, "bad_deadline",
-					fmt.Sprintf("%s must be a positive integer, got %q", HeaderDeadlineMs, h))
-				return
-			}
-			if hd := time.Duration(ms) * time.Millisecond; hd < d {
-				d = hd
-			}
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), d)
-		defer cancel()
-		next.ServeHTTP(w, r.WithContext(ctx))
-	})
+	return c.Handler(mux)
 }
 
 // routeGate refuses requests asserting a stale route-table version. A
@@ -156,16 +117,15 @@ func shardList(ids []int) string {
 func (c *Coordinator) gatherHeaders(w http.ResponseWriter, policy string, n int, failed []int, lastErr error) bool {
 	live := n - len(failed)
 	if live == 0 {
-		detail := "every shard failed"
-		if lastErr != nil {
-			detail = "every shard failed: " + lastErr.Error()
-		}
-		w.Header().Set(HeaderFailedShards, shardList(failed))
-		if errors.Is(lastErr, context.DeadlineExceeded) {
-			serverutil.WriteError(w, http.StatusServiceUnavailable, "timeout", "request deadline exceeded before any shard answered")
+		// A shard-side 400 means the input itself is bad (every shard would
+		// refuse it); answer 400, not a coverage gap.
+		var se *replica.StatusError
+		if errors.As(lastErr, &se) && se.Status == http.StatusBadRequest {
+			serverutil.WriteError(w, http.StatusBadRequest, "invalid_input", "shards rejected the request: "+lastErr.Error())
 			return false
 		}
-		serverutil.WriteError(w, http.StatusServiceUnavailable, "all_shards_failed", detail)
+		w.Header().Set(HeaderFailedShards, shardList(failed))
+		serverutil.Fail(w, http.StatusServiceUnavailable, "all_shards_failed", fmt.Errorf("every shard failed: %w", lastErr))
 		return false
 	}
 	if len(failed) > 0 {
@@ -251,13 +211,6 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		entries[i] = c.toEntries(targets[i], out.val.Matches)
 	}
 	c.mu.RUnlock()
-	// A shard-side 400 means the input itself is bad (every shard would
-	// refuse it); answer 400, not a coverage gap.
-	var se *replica.StatusError
-	if errors.As(lastErr, &se) && se.Status == http.StatusBadRequest && len(failed) == len(outs) {
-		serverutil.WriteError(w, http.StatusBadRequest, "invalid_input", "shards rejected the query: "+lastErr.Error())
-		return
-	}
 	if !c.gatherHeaders(w, policy, len(targets), failed, lastErr) {
 		return
 	}
@@ -330,11 +283,6 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	c.mu.RUnlock()
-	var se *replica.StatusError
-	if errors.As(lastErr, &se) && se.Status == http.StatusBadRequest && len(failed) == len(outs) {
-		serverutil.WriteError(w, http.StatusBadRequest, "invalid_input", "shards rejected the batch: "+lastErr.Error())
-		return
-	}
 	if !c.gatherHeaders(w, policy, len(targets), failed, lastErr) {
 		return
 	}
@@ -389,15 +337,12 @@ func (c *Coordinator) handleSimilarity(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	if se := statusErrOf(lastErr); se != nil && se.Status == http.StatusBadRequest {
+	var se *replica.StatusError
+	if errors.As(lastErr, &se) && se.Status == http.StatusBadRequest {
 		serverutil.WriteError(w, http.StatusBadRequest, "invalid_input", "shards rejected the pair: "+lastErr.Error())
 		return
 	}
-	if errors.Is(lastErr, context.DeadlineExceeded) {
-		serverutil.WriteError(w, http.StatusServiceUnavailable, "timeout", "request deadline exceeded")
-		return
-	}
-	serverutil.WriteError(w, http.StatusServiceUnavailable, "all_shards_failed", "no shard could score the pair: "+lastErr.Error())
+	serverutil.Fail(w, http.StatusServiceUnavailable, "all_shards_failed", fmt.Errorf("no shard could score the pair: %w", lastErr))
 }
 
 // pairJSON is one reported pair in an add response, in global ids.
@@ -413,19 +358,6 @@ type shardAddResponse struct {
 	Pairs []pairJSON `json:"pairs"`
 }
 
-// writeCtrlError reports a control-plane failure, classifying the
-// error before surfacing it: an invalid-input error wrapped inside a
-// shard or WAL failure is the caller's fault and comes back as a 400,
-// everything else keeps the caller-chosen status and code.
-func writeCtrlError(w http.ResponseWriter, status int, code string, err error) {
-	var ie *core.InputError
-	if errors.As(err, &ie) {
-		serverutil.WriteError(w, http.StatusBadRequest, "invalid_input", ie.Error())
-		return
-	}
-	serverutil.WriteError(w, status, code, err.Error())
-}
-
 func (c *Coordinator) handleAdd(w http.ResponseWriter, r *http.Request) {
 	var req objectRequest
 	if !serverutil.DecodeJSON(w, r, &req) {
@@ -438,7 +370,7 @@ func (c *Coordinator) handleAdd(w http.ResponseWriter, r *http.Request) {
 	c.addMu.Lock()
 	defer c.addMu.Unlock()
 	if err := c.controlErr(); err != nil {
-		writeCtrlError(w, http.StatusInternalServerError, "control_plane_failed", err)
+		serverutil.Fail(w, http.StatusInternalServerError, "control_plane_failed", err)
 		return
 	}
 	c.mu.RLock()
@@ -452,14 +384,14 @@ func (c *Coordinator) handleAdd(w http.ResponseWriter, r *http.Request) {
 		// Fail fast once the log is poisoned: taking more adds into a state
 		// the log cannot vouch for only widens the gap recovery will erase.
 		if werr := c.log.WAL().Err(); werr != nil {
-			writeCtrlError(w, http.StatusInternalServerError, "wal_failed", werr)
+			serverutil.Fail(w, http.StatusInternalServerError, "wal_failed", werr)
 			return
 		}
 		// Write-ahead intent: a crash between the shard add and its outcome
 		// record leaves this as the log's tail, and recovery settles it
 		// against the shard's object count.
 		if _, err := c.appendSync(encAssignIntent(g, home, req.Tokens)); err != nil {
-			writeCtrlError(w, http.StatusInternalServerError, "wal_failed", err)
+			serverutil.Fail(w, http.StatusInternalServerError, "wal_failed", err)
 			return
 		}
 	}
@@ -478,20 +410,20 @@ func (c *Coordinator) handleAdd(w http.ResponseWriter, r *http.Request) {
 			if durable {
 				c.failControl(derr)
 			}
-			writeCtrlError(w, http.StatusInternalServerError, "shard_drift", derr)
+			serverutil.Fail(w, http.StatusInternalServerError, "shard_drift", derr)
 			return
 		}
 		homePairs = res.Pairs
 		if aerr := c.applyAssign(g, home, expected); aerr != nil {
 			c.failControl(aerr)
-			writeCtrlError(w, http.StatusInternalServerError, "control_plane_failed", aerr)
+			serverutil.Fail(w, http.StatusInternalServerError, "control_plane_failed", aerr)
 			return
 		}
 		if durable {
 			// The ack below is written only after this record is durable: an
 			// acked id assignment survives any crash bit-identically.
 			if _, werr := c.appendSync(encAssignDone(g, home, expected)); werr != nil {
-				writeCtrlError(w, http.StatusInternalServerError, "wal_failed", werr)
+				serverutil.Fail(w, http.StatusInternalServerError, "wal_failed", werr)
 				return
 			}
 		}
@@ -502,7 +434,7 @@ func (c *Coordinator) handleAdd(w http.ResponseWriter, r *http.Request) {
 		// The shard never indexed the object: close the intent with an
 		// abort record and surface the refusal.
 		if _, aerr := c.appendSync(encAssignAbort(g)); aerr != nil {
-			writeCtrlError(w, http.StatusInternalServerError, "wal_failed", aerr)
+			serverutil.Fail(w, http.StatusInternalServerError, "wal_failed", aerr)
 			return
 		}
 		c.addError(w, home, err)
@@ -512,7 +444,7 @@ func (c *Coordinator) handleAdd(w http.ResponseWriter, r *http.Request) {
 		// settle the intent by counting, exactly as recovery would.
 		applied, rerr := c.resolveAmbiguous(recAssignIntent, g, home, home)
 		if rerr != nil {
-			writeCtrlError(w, http.StatusInternalServerError, "control_plane_failed", rerr)
+			serverutil.Fail(w, http.StatusInternalServerError, "control_plane_failed", rerr)
 			return
 		}
 		if !applied {
@@ -648,58 +580,24 @@ func (c *Coordinator) addToShard(ctx context.Context, sh *shard, tokens []string
 
 // postAdd posts one object to a shard primary.
 func (c *Coordinator) postAdd(ctx context.Context, primary string, tokens []string) (*shardAddResponse, error) {
-	body, err := json.Marshal(map[string]any{"tokens": tokens})
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, primary+"/objects", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	hc := c.cfg.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		se := &replica.StatusError{Endpoint: primary, Status: resp.StatusCode}
-		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-			if secs, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil && secs > 0 {
-				se.RetryAfter = time.Duration(secs) * time.Second
-			}
-		}
-		return nil, se
-	}
 	var out shardAddResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("cluster: %s: bad add response: %w", primary, err)
+	if _, err := replica.Call(ctx, c.cfg.HTTP, http.MethodPost, primary, "/objects", objectRequest{Tokens: tokens}, &out); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }
 
 // addError maps a failed home-shard add to a response: client errors
-// pass through as 400, deadline expiry is 503 timeout, everything else
-// is 503 naming the shard the object routes to.
+// pass through as 400, everything else goes through serverutil.Fail as
+// a 503 naming the shard the object routes to.
 func (c *Coordinator) addError(w http.ResponseWriter, home int, err error) {
-	if se := statusErrOf(err); se != nil && se.Status >= 400 && se.Status < 500 && se.Status != http.StatusTooManyRequests {
+	var se *replica.StatusError
+	if errors.As(err, &se) && se.Status >= 400 && se.Status < 500 && se.Status != http.StatusTooManyRequests {
 		serverutil.WriteError(w, http.StatusBadRequest, "invalid_input", "shard rejected the object: "+err.Error())
 		return
 	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		serverutil.WriteError(w, http.StatusServiceUnavailable, "timeout", "request deadline exceeded")
-		return
-	}
 	w.Header().Set(HeaderFailedShards, strconv.Itoa(home))
-	serverutil.WriteError(w, http.StatusServiceUnavailable, "shard_unavailable",
-		fmt.Sprintf("home shard %d cannot accept the object: %v", home, err))
+	serverutil.Fail(w, http.StatusServiceUnavailable, "shard_unavailable", fmt.Errorf("home shard %d cannot accept the object: %w", home, err))
 }
 
 // statusErrOf unwraps a *replica.StatusError from a shard call's error
@@ -769,7 +667,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		"hedges_total":            c.HedgesTotal(),
 		"retries_total":           c.retriesTotal.Load(),
 		"partial_responses_total": c.partialTotal.Load(),
-		"inflight":                c.sem.InFlight(),
+		"inflight":                c.Sem.InFlight(),
 		"reshard_state":           state,
 		"reshard_moved":           moved,
 		"reshard_moving":          moving,
@@ -784,16 +682,4 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		out["control_plane_healthy"] = c.controlErr() == nil
 	}
 	serverutil.WriteJSON(w, out)
-}
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	serverutil.WriteJSON(w, map[string]string{"status": "ok"})
-}
-
-func (c *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if c.draining.Load() {
-		serverutil.WriteError(w, http.StatusServiceUnavailable, "draining", "coordinator is draining")
-		return
-	}
-	serverutil.WriteJSON(w, map[string]string{"status": "ready"})
 }

@@ -15,14 +15,13 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
 
+	"kjoin/internal/replica"
 	"kjoin/internal/serverutil"
 )
 
@@ -125,35 +124,16 @@ func (c *Coordinator) resolveAmbiguous(kind string, g, src, target int) (bool, e
 func (c *Coordinator) getObjectTokens(primary string, local int) ([]string, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ShardTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s/objects/%d", primary, local), nil)
-	if err != nil {
-		return nil, err
-	}
-	hc := c.cfg.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: %s/objects/%d: status %d", primary, local, resp.StatusCode)
-	}
 	var out struct {
 		ID     *int     `json:"id"`
 		Tokens []string `json:"tokens"`
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxBodyBytes))
-	if err != nil {
+	path := fmt.Sprintf("/objects/%d", local)
+	if _, err := replica.Call(ctx, c.cfg.HTTP, http.MethodGet, primary, path, nil, &out); err != nil {
 		return nil, err
 	}
-	if err := json.Unmarshal(body, &out); err != nil || out.ID == nil || *out.ID != local {
-		return nil, fmt.Errorf("cluster: %s/objects/%d: bad body", primary, local)
+	if out.ID == nil || *out.ID != local {
+		return nil, fmt.Errorf("cluster: %s%s: bad body", primary, path)
 	}
 	return out.Tokens, nil
 }
@@ -324,7 +304,7 @@ func (c *Coordinator) handleReshard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := c.controlErr(); err != nil {
-		writeCtrlError(w, http.StatusInternalServerError, "control_plane_failed", err)
+		serverutil.Fail(w, http.StatusInternalServerError, "control_plane_failed", err)
 		return
 	}
 	var req reshardRequest
@@ -403,12 +383,12 @@ func (c *Coordinator) handleReshard(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if _, err := c.appendSync(encReshardBegin(vNew, assign, req.Add, items)); err != nil {
-		writeCtrlError(w, http.StatusInternalServerError, "wal_failed", err)
+		serverutil.Fail(w, http.StatusInternalServerError, "wal_failed", err)
 		return
 	}
 	if err := c.applyReshardBegin(vNew, assign, req.Add, items); err != nil {
 		c.failControl(err)
-		writeCtrlError(w, http.StatusInternalServerError, "control_plane_failed", err)
+		serverutil.Fail(w, http.StatusInternalServerError, "control_plane_failed", err)
 		return
 	}
 	c.startMover()
@@ -439,7 +419,7 @@ func (c *Coordinator) handleReshardAbort(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	if err := c.controlErr(); err != nil {
-		writeCtrlError(w, http.StatusInternalServerError, "control_plane_failed", err)
+		serverutil.Fail(w, http.StatusInternalServerError, "control_plane_failed", err)
 		return
 	}
 	c.addMu.Lock()
@@ -453,12 +433,12 @@ func (c *Coordinator) handleReshardAbort(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	if _, err := c.appendSync([]string{recReshardAbort, fmt.Sprint(vAbort)}); err != nil {
-		writeCtrlError(w, http.StatusInternalServerError, "wal_failed", err)
+		serverutil.Fail(w, http.StatusInternalServerError, "wal_failed", err)
 		return
 	}
 	if err := c.applyReshardAbort(vAbort); err != nil {
 		c.failControl(err)
-		writeCtrlError(w, http.StatusInternalServerError, "control_plane_failed", err)
+		serverutil.Fail(w, http.StatusInternalServerError, "control_plane_failed", err)
 		return
 	}
 	c.logf("cluster: reshard aborted; route table restored at v%d", vAbort)

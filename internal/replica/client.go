@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"kjoin/internal/rng"
+	"kjoin/internal/server"
+	"kjoin/internal/serverutil"
 )
 
 // Match is one similarity-query result.
@@ -105,13 +107,6 @@ type Client struct {
 
 // HedgeCount returns how many hedge requests this client has launched.
 func (c *Client) HedgeCount() int64 { return c.hedges.Load() }
-
-func (c *Client) http() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
-}
 
 func (c *Client) tryTimeout() time.Duration {
 	if c.TryTimeout > 0 {
@@ -291,26 +286,47 @@ func (c *Client) tryHedged(ctx context.Context, ep string, try func(context.Cont
 	return nil, fmt.Errorf("replica: try %s: %w", ep, lastErr)
 }
 
-// post runs one JSON POST against one endpoint and decodes a 200 into
-// out. A non-200 becomes a *StatusError carrying any Retry-After the
-// server attached to a 429 or 503.
-func (c *Client) post(ctx context.Context, ep, path string, reqBody any, out any) (http.Header, error) {
-	body, err := json.Marshal(reqBody)
+// maxResponseBytes caps the JSON body Call decodes from one endpoint.
+const maxResponseBytes = 64 << 20
+
+// Call is the one outbound JSON call to a kjoin tier. It marshals in as
+// the request body (nil sends none), forwards ctx's remaining budget as
+// X-Kjoin-Deadline-Ms (rounded up to whole milliseconds, at least 1) so
+// the callee gives up when the caller does, turns a non-200 into a
+// *StatusError carrying any Retry-After sent with a 429 or 503, and
+// decodes a 200 into out under maxResponseBytes. The body is always
+// drained and closed so the connection is reused. hc nil means
+// http.DefaultClient.
+func Call(ctx context.Context, hc *http.Client, method, ep, path string, in, out any) (http.Header, error) {
+	var body io.Reader
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return nil, err
+		}
+		body = bytes.NewReader(b)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, ep+path, body)
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ep+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http().Do(req)
+	if d, ok := ctx.Deadline(); ok {
+		ms := max((time.Until(d)+time.Millisecond-1)/time.Millisecond, 1)
+		req.Header.Set(serverutil.HeaderDeadlineMs, strconv.FormatInt(int64(ms), 10))
+	}
+	if hc == nil {
+		hc = http.DefaultClient
+	}
+	resp, err := hc.Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+		_, _ = io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close()
 	}()
 	if resp.StatusCode != http.StatusOK {
 		se := &StatusError{Endpoint: ep, Status: resp.StatusCode}
@@ -321,8 +337,8 @@ func (c *Client) post(ctx context.Context, ep, path string, reqBody any, out any
 		}
 		return nil, se
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return nil, fmt.Errorf("replica: %s: bad response body: %w", ep, err)
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxResponseBytes)).Decode(out); err != nil {
+		return nil, fmt.Errorf("replica: %s%s: bad response body: %w", ep, path, err)
 	}
 	return resp.Header, nil
 }
@@ -332,12 +348,12 @@ func (c *Client) tryQuery(ctx context.Context, ep string, tokens []string) (*Res
 	var out struct {
 		Matches []Match `json:"matches"`
 	}
-	hdr, err := c.post(ctx, ep, "/query", map[string]any{"tokens": tokens}, &out)
+	hdr, err := Call(ctx, c.HTTP, http.MethodPost, ep, "/query", map[string]any{"tokens": tokens}, &out)
 	if err != nil {
 		return nil, err
 	}
 	lag := int64(-1)
-	if h := hdr.Get("X-Kjoin-Replica-Lag-Ms"); h != "" {
+	if h := hdr.Get(server.HeaderReplicaLag); h != "" {
 		if ms, perr := strconv.ParseInt(h, 10, 64); perr == nil {
 			lag = ms
 		}
@@ -350,7 +366,7 @@ func (c *Client) trySimilarity(ctx context.Context, ep string, x, y []string) (*
 	var out struct {
 		Sim float64 `json:"sim"`
 	}
-	if _, err := c.post(ctx, ep, "/similarity", map[string]any{"x": x, "y": y}, &out); err != nil {
+	if _, err := Call(ctx, c.HTTP, http.MethodPost, ep, "/similarity", map[string]any{"x": x, "y": y}, &out); err != nil {
 		return nil, err
 	}
 	return &Result{Sim: out.Sim, Endpoint: ep, LagMS: -1}, nil

@@ -3,7 +3,9 @@
 // primary's /wal/stream long poll, and applies records through the same
 // contiguity-checked path crash recovery replays through; and a
 // fail-over Client that routes reads across primary + replicas with
-// per-try deadlines, jittered backoff and hedged fallback.
+// per-try deadlines, jittered backoff and hedged fallback. Call is the
+// one outbound JSON request the Client and the cluster coordinator make
+// to a kjoin tier, carrying the caller's remaining deadline budget.
 //
 // The replication contract is the durability contract stretched over a
 // network: a follower only ever applies records the primary durably

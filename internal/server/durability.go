@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/http"
 
 	"kjoin/internal/core"
 	"kjoin/internal/hierarchy"
@@ -28,7 +27,7 @@ func NewRecovering(h *hierarchy.Hierarchy, opt core.Options, cfg Config) (*Serve
 		return nil, err
 	}
 	s := wrap(h, opt, cfg, ix)
-	s.ready.Store(false)
+	s.SetReady(false)
 	return s, nil
 }
 
@@ -79,7 +78,7 @@ func (s *Server) Recover(d Durability) error {
 	s.ix.Store(ix)
 	s.log.Store(l)
 	s.mu.Unlock()
-	s.ready.Store(true)
+	s.SetReady(true)
 	return nil
 }
 
@@ -147,15 +146,4 @@ func (s *Server) Close() error {
 		return w.Close()
 	}
 	return nil
-}
-
-// notReady gates an endpoint on recovery having finished.
-func (s *Server) notReady(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !s.ready.Load() {
-			serverutil.WriteError(w, http.StatusServiceUnavailable, "recovering", "index recovery in progress")
-			return
-		}
-		next.ServeHTTP(w, r)
-	})
 }

@@ -131,7 +131,7 @@ func NewReplica(h *hierarchy.Hierarchy, opt core.Options, cfg Config, rc Replica
 	}
 	s := wrap(h, opt, cfg, ix)
 	s.replica = &replicaState{cfg: rc}
-	s.ready.Store(false)
+	s.SetReady(false)
 	return s, nil
 }
 
@@ -181,7 +181,7 @@ func (s *Server) MarkReplicaCaughtUp(t time.Time) {
 	}
 	rs.lastCaughtUp.Store(t.UnixNano())
 	rs.healthy.Store(true)
-	s.ready.Store(true)
+	s.SetReady(true)
 }
 
 // SetReplicaHealthy flips the stream-health flag /stats reports (false
@@ -289,7 +289,7 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 				serverutil.WriteError(w, http.StatusGone, "wal_compacted", ce.Error())
 				return
 			}
-			s.opError(w, "wal_stream_failed", rerr)
+			serverutil.Fail(w, http.StatusInternalServerError, "wal_stream_failed", rerr)
 			return
 		}
 		if len(frames) > 0 || !time.Now().Before(deadline) {
@@ -318,7 +318,7 @@ func (s *Server) streamPollJitter() time.Duration {
 	s.pollMu.Lock()
 	defer s.pollMu.Unlock()
 	if s.pollR == nil {
-		s.pollR = rng.New(s.cfg.Seed)
+		s.pollR = rng.New(s.Edge.Seed)
 	}
 	return streamPollInterval/2 + time.Duration(s.pollR.Float64()*float64(streamPollInterval))
 }
@@ -330,7 +330,7 @@ func (s *Server) streamPollJitter() time.Duration {
 func (s *Server) handleReplicaSnapshot(w http.ResponseWriter, r *http.Request) {
 	buf, seq, err := s.SnapshotBuffer()
 	if err != nil {
-		s.opError(w, "snapshot_failed", err)
+		serverutil.Fail(w, http.StatusInternalServerError, "snapshot_failed", err)
 		return
 	}
 	w.Header().Set(HeaderDurableSeq, strconv.FormatUint(seq, 10))

@@ -12,16 +12,15 @@
 // serialize under the write lock, expensive endpoints sit behind a
 // bounded-concurrency admission gate (429 + Retry-After when
 // saturated), request bodies are size-capped, every request carries a
-// deadline that aborts an in-flight join within one verification
-// batch, handler panics degrade to a 500, and snapshots pin a view
-// under the read lock (excluding only adds) and serialize it outside
-// every lock so a slow client never blocks writers.
+// deadline (shrinkable by X-Kjoin-Deadline-Ms) that aborts an in-flight
+// join within one verification batch, handler panics degrade to a 500
+// (all of it the serverutil.Edge every tier shares), and snapshots pin
+// a view under the read lock (excluding only adds) and serialize it
+// outside every lock so a slow client never blocks writers.
 package server
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -37,27 +36,22 @@ import (
 )
 
 // Config bounds the resources a single request (or a burst of them) can
-// consume. The zero value selects the defaults documented per field.
+// consume. The zero value selects the defaults documented per field;
+// the edge limits take serverutil.Limits' defaults.
 type Config struct {
-	// MaxBodyBytes caps a request body (default 1 MiB). Oversized bodies
-	// fail with a structured 400 (code "body_too_large").
+	// MaxBodyBytes caps a request body (default 1 MiB).
 	MaxBodyBytes int64
 	// MaxInflight bounds concurrently executing expensive requests
-	// (objects/query/similarity/snapshot, default 64); excess requests
-	// are shed with 429 + Retry-After instead of queueing unboundedly.
+	// (objects/query/similarity/snapshot, default 64).
 	MaxInflight int
-	// RequestTimeout is the per-request deadline (default 30s); an
-	// expired deadline aborts the join mid-flight and returns 503.
+	// RequestTimeout is the per-request deadline (default 30s), which an
+	// X-Kjoin-Deadline-Ms header may shrink; an expired deadline aborts
+	// the join mid-flight and returns 503.
 	RequestTimeout time.Duration
 	// MaxTokens caps tokens per object (default 10000).
 	MaxTokens int
 	// MaxTokenLen caps the byte length of one token (default 1024).
 	MaxTokenLen int
-	// RetryAfterMin and RetryAfterMax bound the jittered Retry-After
-	// header on shed (429) requests (defaults 1s and 3s). A fixed value
-	// would synchronize every shed client's retry into a herd.
-	RetryAfterMin time.Duration
-	RetryAfterMax time.Duration
 	// Seed seeds the deterministic jitter (default 1).
 	Seed uint64
 	// Logf, when set, receives recovered panics and snapshot errors.
@@ -65,29 +59,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	if c.MaxInflight == 0 {
-		c.MaxInflight = 64
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 30 * time.Second
-	}
 	if c.MaxTokens == 0 {
 		c.MaxTokens = 10000
 	}
 	if c.MaxTokenLen == 0 {
 		c.MaxTokenLen = 1024
-	}
-	if c.RetryAfterMin == 0 {
-		c.RetryAfterMin = time.Second
-	}
-	if c.RetryAfterMax == 0 {
-		c.RetryAfterMax = 3 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -100,6 +76,10 @@ func (c Config) withDefaults() Config {
 // and snapshot pins take the read side so a pinned view can never land
 // between an AddCtx and the SetWALSeq that records its log position.
 type Server struct {
+	// Edge is the shared HTTP edge: probes, the ready gate (down from
+	// NewRecovering until Recover completes, and on a replica until its
+	// first catch-up), admission, deadlines and body caps.
+	*serverutil.Edge
 	//kjoinlint:lockorder rank=20
 	mu  sync.RWMutex
 	h   *hierarchy.Hierarchy
@@ -113,13 +93,9 @@ type Server struct {
 	// log, when durability is configured, is the write-ahead log every
 	// acknowledged add is fsync'd into, bound to the snapshot generations
 	// recovery rebuilds from (installed by Recover, nil before).
-	log      atomic.Pointer[serverutil.Log]
-	sem      *serverutil.Semaphore
-	handler  http.Handler
-	draining atomic.Bool
-	// ready is false from NewRecovering until Recover completes;
-	// expensive endpoints and /readyz report 503 while it is down.
-	ready atomic.Bool
+	log     atomic.Pointer[serverutil.Log]
+	sem     *serverutil.Semaphore // the edge's admission gate
+	handler http.Handler
 
 	// replica is non-nil on a follower: the server is read-only (adds are
 	// rejected), /query passes a bounded-staleness gate, and /stats
@@ -166,45 +142,25 @@ func NewFromSnapshotWithConfig(h *hierarchy.Hierarchy, opt core.Options, cfg Con
 
 func wrap(h *hierarchy.Hierarchy, opt core.Options, cfg Config, ix *core.Indexer) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{h: h, opt: opt, cfg: cfg}
+	e := serverutil.NewEdge(serverutil.Limits{MaxBodyBytes: cfg.MaxBodyBytes, MaxInflight: cfg.MaxInflight,
+		RequestTimeout: cfg.RequestTimeout, Seed: cfg.Seed, Logf: cfg.Logf})
+	s := &Server{Edge: e, h: h, opt: opt, cfg: cfg, sem: e.Sem}
 	s.ix.Store(ix)
-	s.ready.Store(true)
-	s.sem = serverutil.NewSemaphore(cfg.MaxInflight)
 	mux := http.NewServeMux()
-	mux.Handle("POST /objects", s.readOnly(s.limited(http.HandlerFunc(s.handleAdd))))
-	mux.Handle("POST /query", s.limited(s.staleGate(http.HandlerFunc(s.handleQuery))))
-	mux.Handle("POST /similarity", s.limited(http.HandlerFunc(s.handleSimilarity)))
-	mux.Handle("GET /objects/{id}", s.notReady(http.HandlerFunc(s.handleGetObject)))
-	mux.Handle("GET /snapshot", s.limited(http.HandlerFunc(s.handleSnapshot)))
-	mux.Handle("GET /wal/stream", s.notReady(http.HandlerFunc(s.handleWALStream)))
-	mux.Handle("GET /replica/snapshot", s.limited(http.HandlerFunc(s.handleReplicaSnapshot)))
+	mux.Handle("POST /objects", s.readOnly(s.Limited(http.HandlerFunc(s.handleAdd))))
+	mux.Handle("POST /query", s.Limited(s.staleGate(http.HandlerFunc(s.handleQuery))))
+	mux.Handle("POST /similarity", s.Limited(http.HandlerFunc(s.handleSimilarity)))
+	mux.Handle("GET /objects/{id}", s.Gate(http.HandlerFunc(s.handleGetObject)))
+	mux.Handle("GET /snapshot", s.Limited(http.HandlerFunc(s.handleSnapshot)))
+	mux.Handle("GET /wal/stream", s.Gate(http.HandlerFunc(s.handleWALStream)))
+	mux.Handle("GET /replica/snapshot", s.Limited(http.HandlerFunc(s.handleReplicaSnapshot)))
 	mux.HandleFunc("GET /stats", s.handleStats)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.handler = serverutil.Chain(mux, serverutil.Recover(cfg.Logf))
+	s.handler = e.Handler(mux)
 	return s
-}
-
-// limited wraps an expensive endpoint with the full protection stack:
-// the recovery gate outermost (nothing runs against a half-rebuilt
-// index), then admission control (reject before spending anything),
-// then the per-request deadline, then the body cap.
-func (s *Server) limited(h http.Handler) http.Handler {
-	return serverutil.Chain(h,
-		s.notReady,
-		serverutil.Admit(s.sem, s.cfg.RetryAfterMin, s.cfg.RetryAfterMax, s.cfg.Seed),
-		serverutil.WithTimeout(s.cfg.RequestTimeout),
-		serverutil.LimitBody(s.cfg.MaxBodyBytes),
-	)
 }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
-
-// SetDraining flips the readiness probe: a draining server answers
-// /readyz with 503 so load balancers stop routing new traffic while
-// in-flight requests finish. Serving itself is not affected.
-func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
 // SnapshotTo atomically writes the current index to path: the view is
 // pinned under the read lock (a cheap pointer copy — writers wait only
@@ -220,24 +176,6 @@ func (s *Server) SnapshotTo(path string) error {
 	})
 }
 
-// handleHealthz is liveness: the process is up and serving.
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	serverutil.WriteJSON(w, map[string]string{"status": "ok"})
-}
-
-// handleReadyz is readiness: whether new traffic should be routed here.
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if !s.ready.Load() {
-		serverutil.WriteError(w, http.StatusServiceUnavailable, "recovering", "index recovery in progress")
-		return
-	}
-	if s.draining.Load() {
-		serverutil.WriteError(w, http.StatusServiceUnavailable, "draining", "server is draining")
-		return
-	}
-	serverutil.WriteJSON(w, map[string]string{"status": "ready"})
-}
-
 // handleSnapshot streams the current index contents as a snapshot the
 // server (or any Indexer) can be rebuilt from. The view is pinned under
 // the read lock and serialized after the lock is released — neither a
@@ -248,7 +186,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	s.mu.RUnlock()
 	var buf bytes.Buffer
 	if err := pv.WriteSnapshot(&buf); err != nil {
-		s.opError(w, "snapshot_failed", err)
+		serverutil.Fail(w, http.StatusInternalServerError, "snapshot_failed", err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -287,7 +225,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	if wlog != nil {
 		if werr := wlog.Err(); werr != nil {
 			s.mu.Unlock()
-			s.opError(w, "wal_failed", werr)
+			serverutil.Fail(w, http.StatusInternalServerError, "wal_failed", werr)
 			return
 		}
 	}
@@ -314,9 +252,9 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		// The poisoning Append failure is a WAL failure like the fast-fail
 		// and fsync paths — operators watching wal_failed must see it too.
 		if walFailed {
-			s.opError(w, "wal_failed", err)
+			serverutil.Fail(w, http.StatusInternalServerError, "wal_failed", err)
 		} else {
-			s.joinError(w, err)
+			serverutil.Fail(w, http.StatusInternalServerError, "internal", err)
 		}
 		return
 	}
@@ -327,7 +265,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		// crash, and a refused fsync rolls the record back so the add it
 		// would have acknowledged cannot resurface.
 		if werr := wlog.Sync(seq); werr != nil {
-			s.opError(w, "wal_failed", werr)
+			serverutil.Fail(w, http.StatusInternalServerError, "wal_failed", werr)
 			return
 		}
 	}
@@ -378,12 +316,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ix := s.ix.Load()
 	q, err := ix.PrepareQuery(req.Tokens)
 	if err != nil {
-		s.joinError(w, err)
+		serverutil.Fail(w, http.StatusInternalServerError, "internal", err)
 		return
 	}
 	matches, err := ix.RunQuery(r.Context(), q)
 	if err != nil {
-		s.joinError(w, err)
+		serverutil.Fail(w, http.StatusInternalServerError, "internal", err)
 		return
 	}
 	out := make([]matchJSON, 0, len(matches))
@@ -408,7 +346,7 @@ func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
 	// (read-only) hierarchy; no server lock is needed.
 	sim, err := core.SimilarityCtx(r.Context(), s.h, req.X, req.Y, s.opt)
 	if err != nil {
-		s.joinError(w, err)
+		serverutil.Fail(w, http.StatusInternalServerError, "internal", err)
 		return
 	}
 	serverutil.WriteJSON(w, map[string]float64{"sim": sim})
@@ -459,7 +397,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // checkTokens enforces the configured token-count and token-length caps
 // (the structural empty/blank validation lives in core and surfaces as
-// *core.InputError through joinError).
+// *core.InputError through serverutil.Fail).
 func (s *Server) checkTokens(w http.ResponseWriter, tokens []string) bool {
 	if len(tokens) > s.cfg.MaxTokens {
 		serverutil.WriteError(w, http.StatusBadRequest, "too_many_tokens",
@@ -474,29 +412,4 @@ func (s *Server) checkTokens(w http.ResponseWriter, tokens []string) bool {
 		}
 	}
 	return true
-}
-
-// joinError maps engine errors to responses: invalid input → 400, an
-// expired deadline → 503, a vanished client → nothing, anything else →
-// 500.
-func (s *Server) joinError(w http.ResponseWriter, err error) {
-	s.opError(w, "internal", err)
-}
-
-// opError is the single error-classification path (kjoin-lint's errform
-// rule): typed input errors become the structured 400, context errors
-// map to their statuses, and only the residue is stringified into a 500
-// with the operation's error code.
-func (s *Server) opError(w http.ResponseWriter, code string, err error) {
-	var ie *core.InputError
-	switch {
-	case errors.As(err, &ie):
-		serverutil.WriteError(w, http.StatusBadRequest, "invalid_input", ie.Detail)
-	case errors.Is(err, context.DeadlineExceeded):
-		serverutil.WriteError(w, http.StatusServiceUnavailable, "timeout", "request deadline exceeded")
-	case errors.Is(err, context.Canceled):
-		// Client went away; there is no one to answer.
-	default:
-		serverutil.WriteError(w, http.StatusInternalServerError, code, err.Error())
-	}
 }

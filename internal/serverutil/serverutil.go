@@ -1,10 +1,12 @@
 // Package serverutil holds the production-hardening building blocks of
-// the kjoin HTTP service: panic recovery, admission control, per-request
-// deadlines, body size caps, JSON request/response helpers and
-// structured errors, atomic file writes, snapshot generations, the
-// durable-log kernel (recovery and snapshot→compact) and a background
-// snapshotter. It is deliberately independent of the join engine so the
-// server and the cluster coordinator compose it freely.
+// the kjoin HTTP service: the Edge every tier serves through (panic
+// recovery, health probes, admission control, the X-Kjoin-Deadline-Ms
+// deadline budget, body size caps), JSON request/response helpers and
+// Fail, the one structured error mapper, atomic file writes, snapshot
+// generations, the durable-log kernel (recovery and snapshot→compact)
+// and a background snapshotter. Of the join engine it knows only
+// core.InputError, the type Fail maps to a 400, so the shard server and
+// the cluster coordinator compose it freely.
 package serverutil
 
 import (
@@ -15,8 +17,8 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
+	"kjoin/internal/core"
 	"kjoin/internal/rng"
 )
 
@@ -44,6 +46,24 @@ func WriteError(w http.ResponseWriter, status int, code, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(ErrorBody{Error: msg, Code: code})
+}
+
+// Fail is the one error mapper every tier answers a failed operation
+// through: a *core.InputError is the caller's fault (400
+// invalid_input), an expired deadline is 503 timeout, a vanished client
+// gets nothing (there is no one to answer), and anything else keeps the
+// caller's status and code with the error as its message.
+func Fail(w http.ResponseWriter, status int, code string, err error) {
+	var ie *core.InputError
+	switch {
+	case errors.As(err, &ie):
+		WriteError(w, http.StatusBadRequest, "invalid_input", ie.Detail)
+	case errors.Is(err, context.DeadlineExceeded):
+		WriteError(w, http.StatusServiceUnavailable, "timeout", "request deadline exceeded")
+	case errors.Is(err, context.Canceled):
+	default:
+		WriteError(w, status, code, err.Error())
+	}
 }
 
 // WriteJSON writes a success response. ackorder proves no handler
@@ -132,27 +152,19 @@ func (s *Semaphore) InFlight() int { return len(s.ch) }
 // Admit rejects requests with 429 + Retry-After when the semaphore is
 // saturated, instead of queueing them unboundedly. Load-shedding at the
 // door keeps latency bounded for the requests that are admitted. The
-// Retry-After value is jittered uniformly over [retryMin, retryMax]
-// (whole seconds, at least 1): a fixed value would tell every shed
-// client to come back at the same instant, converting one overload spike
-// into a synchronized retry herd that recreates it. seed makes the
-// jitter sequence deterministic for tests.
-func Admit(sem *Semaphore, retryMin, retryMax time.Duration, seed uint64) Middleware {
-	lo := int(retryMin / time.Second)
-	if lo < 1 {
-		lo = 1
-	}
-	hi := int(retryMax / time.Second)
-	if hi < lo {
-		hi = lo
-	}
+// Retry-After value is jittered uniformly over 1–3 whole seconds: a
+// fixed value would tell every shed client to come back at the same
+// instant, converting one overload spike into a synchronized retry herd
+// that recreates it. seed makes the jitter sequence deterministic for
+// tests.
+func Admit(sem *Semaphore, seed uint64) Middleware {
 	var mu sync.Mutex
 	r := rng.New(seed)
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 			if !sem.TryAcquire() {
 				mu.Lock()
-				secs := lo + r.Intn(hi-lo+1)
+				secs := 1 + r.Intn(3)
 				mu.Unlock()
 				w.Header().Set("Retry-After", strconv.Itoa(secs))
 				WriteError(w, http.StatusTooManyRequests, "saturated", "server is at capacity; retry later")
@@ -160,22 +172,6 @@ func Admit(sem *Semaphore, retryMin, retryMax time.Duration, seed uint64) Middle
 			}
 			defer sem.Release()
 			next.ServeHTTP(w, req)
-		})
-	}
-}
-
-// WithTimeout attaches a deadline to each request's context. Handlers
-// that thread the context into the join engine abort within one
-// verification batch when it expires.
-func WithTimeout(d time.Duration) Middleware {
-	return func(next http.Handler) http.Handler {
-		if d <= 0 {
-			return next
-		}
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			ctx, cancel := context.WithTimeout(r.Context(), d)
-			defer cancel()
-			next.ServeHTTP(w, r.WithContext(ctx))
 		})
 	}
 }

@@ -76,7 +76,7 @@ func TestAdmitShedsLoadAt429(t *testing.T) {
 		enter <- struct{}{}
 		<-release
 		w.WriteHeader(http.StatusOK)
-	}), Admit(sem, 3*time.Second, 3*time.Second, 1))
+	}), Admit(sem, 1))
 
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -98,8 +98,9 @@ func TestAdmitShedsLoadAt429(t *testing.T) {
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("saturated: status = %d, want 429", rec.Code)
 	}
-	if ra := rec.Header().Get("Retry-After"); ra != "3" {
-		t.Errorf("Retry-After = %q, want 3", ra)
+	ra := rec.Header().Get("Retry-After")
+	if secs, err := strconv.Atoi(ra); err != nil || secs < 1 || secs > 3 {
+		t.Errorf("Retry-After = %q, want 1–3 seconds", ra)
 	}
 	var body ErrorBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
@@ -121,7 +122,7 @@ func TestAdmitShedsLoadAt429(t *testing.T) {
 }
 
 // TestAdmitRetryAfterJitterBand saturates the gate and checks every
-// shed response advertises a Retry-After inside the configured band —
+// shed response advertises a Retry-After inside the 1–3s band —
 // and not always the same value, or shed clients would all retry in the
 // same instant and recreate the overload they were shed for.
 func TestAdmitRetryAfterJitterBand(t *testing.T) {
@@ -132,7 +133,7 @@ func TestAdmitRetryAfterJitterBand(t *testing.T) {
 	defer sem.Release()
 	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
-	}), Admit(sem, 2*time.Second, 5*time.Second, 42))
+	}), Admit(sem, 42))
 	seen := map[string]bool{}
 	for i := 0; i < 64; i++ {
 		rec := httptest.NewRecorder()
@@ -145,8 +146,8 @@ func TestAdmitRetryAfterJitterBand(t *testing.T) {
 		if err != nil {
 			t.Fatalf("request %d: Retry-After %q is not an integer", i, ra)
 		}
-		if secs < 2 || secs > 5 {
-			t.Fatalf("request %d: Retry-After %d outside band [2,5]", i, secs)
+		if secs < 1 || secs > 3 {
+			t.Fatalf("request %d: Retry-After %d outside band [1,3]", i, secs)
 		}
 		seen[ra] = true
 	}
@@ -155,16 +156,31 @@ func TestAdmitRetryAfterJitterBand(t *testing.T) {
 	}
 }
 
-func TestWithTimeoutSetsDeadline(t *testing.T) {
-	var sawDeadline atomic.Bool
-	h := Chain(http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
-		if _, ok := r.Context().Deadline(); ok {
-			sawDeadline.Store(true)
+// TestEdgeSetsDeadline: every limited request carries a deadline — the
+// edge's RequestTimeout, or sooner when X-Kjoin-Deadline-Ms asks — on a
+// chain configured the way a shard server configures it.
+func TestEdgeSetsDeadline(t *testing.T) {
+	e := NewEdge(Limits{})
+	for _, hdr := range []string{"", "250"} {
+		var dl time.Time
+		var ok bool
+		h := e.Limited(http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+			dl, ok = r.Context().Deadline()
+		}))
+		req := httptest.NewRequest("GET", "/x", nil)
+		budget := e.RequestTimeout
+		if hdr != "" {
+			req.Header.Set(HeaderDeadlineMs, hdr)
+			budget = 250 * time.Millisecond
 		}
-	}), WithTimeout(time.Minute))
-	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/x", nil))
-	if !sawDeadline.Load() {
-		t.Error("request context has no deadline")
+		start := time.Now()
+		h.ServeHTTP(httptest.NewRecorder(), req)
+		if !ok {
+			t.Fatalf("header %q: request context has no deadline", hdr)
+		}
+		if dl.After(time.Now().Add(budget)) || dl.Before(start.Add(budget-time.Second)) {
+			t.Errorf("header %q: deadline %v from start, want within a second below %v", hdr, dl.Sub(start), budget)
+		}
 	}
 }
 
