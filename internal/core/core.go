@@ -582,11 +582,7 @@ func (j *joiner) probe(probes []prepped, rk *ranked, self, probesAreR bool) []Pa
 			// false-share cache lines between workers. Each worker's
 			// kernel verifies on its own Context clone, whose Scratch makes
 			// the steady-state verify path allocation-free and race-free.
-			// Preprocessing is over, so the id ranges its tables cover are
-			// known.
-			vctx := j.ctx.Clone()
-			vctx.Reserve(j.res.Len(), j.sp.NumSigs())
-			k := newKernel(vctx, &j.opt, gate)
+			k := newKernel(j.ctx.Clone(), &j.opt, gate)
 			k.seen = make([]int32, len(rk.objs))
 			var pairs []Pair
 			processed := 0

@@ -123,10 +123,6 @@ func NewIndexer(h *hierarchy.Hierarchy, opt Options) (*Indexer, error) {
 		return nil, err
 	}
 	j := newJoiner(h, opt)
-	// Materialize j.ctx's scratch now: vpool.New clones the context from
-	// query goroutines, and Clone must never race a lazy first-use
-	// scratch write on the original.
-	j.ctx.Prime()
 	// Object sizes are unbounded in a stream, so the gate keeps no table:
 	// each probe computes its own range.
 	gate := newSizeGate(&j.opt, 0)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"kjoin/internal/dataset"
 	"kjoin/internal/paperdata"
 )
 
@@ -135,6 +136,39 @@ func TestTopKSelfJoin(t *testing.T) {
 	// Invalid options are rejected.
 	if _, _, err := TopKSelfJoin(h, objs, 5, Options{}); err == nil {
 		t.Error("zero options should be rejected")
+	}
+}
+
+// TestTopKFloorAboveSchedule: a floor above the schedule's first step
+// (0.95) still runs the floor join, so the top pairs are SelfJoin's at
+// that τ — here exact duplicates, whose similarity 1 clears any floor.
+func TestTopKFloorAboveSchedule(t *testing.T) {
+	hr := dataset.GenHierarchy(dataset.DefaultHierarchy())
+	objs := dataset.GenRecords(hr, dataset.POIConfig(200)).Records
+	objs = append(objs, objs[0], objs[1])
+	for _, floor := range []float64{0.96, 1} {
+		opt := Defaults(0.5, floor)
+		all, _, err := SelfJoin(hr.H, objs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(all) < 2 {
+			t.Fatalf("floor %v: SelfJoin finds %d pairs, want the 2 duplicates at least", floor, len(all))
+		}
+		sortPairsBySim(all)
+		want := all[:min(3, len(all))]
+		got, _, err := TopKSelfJoin(hr.H, objs, 3, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("floor %v: TopKSelfJoin returns %d pairs, SelfJoin's top is %v", floor, len(got), want)
+		}
+		for i := range want {
+			if got[i].X != want[i].X || got[i].Y != want[i].Y || math.Float64bits(got[i].Sim) != math.Float64bits(want[i].Sim) {
+				t.Fatalf("floor %v rank %d: got %+v, want %+v", floor, i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -254,7 +254,9 @@ func (k *kernel) gatherRanked(rk *ranked, px *prepped, lo, hi int32) {
 // object's length as the loop fetches it; a ranked gather has left it
 // nothing to reject. input, when non-nil, maps the ids of a self join
 // (px is id x) to input indices: a pair is then verified and scored
-// with the later input first, whichever of the two probes. It returns
+// with the later input first, whichever of the two probes; px is armed
+// on the verify context for the batch either way (verify.Context.Arm),
+// so count pruning and Lemma 4 read only the candidate. It returns
 // false if ctx was cancelled before the batch finished. Counts stay
 // consistent either way: candidates == sizePruned + vst.Pairs.
 func (k *kernel) run(ctx context.Context, px *prepped, src objSource, input []int32, x int32) bool {
@@ -270,6 +272,7 @@ func (k *kernel) run(ctx context.Context, px *prepped, src objSource, input []in
 		// at millions of pruned candidates the two reads cost more than
 		// the verification they timed.
 		t0 := time.Now()
+		k.vctx.Arm(&px.Prepared)
 		for _, y := range k.cands {
 			if done%cancelCheckEvery == cancelCheckEvery-1 && ctx.Err() != nil {
 				break
@@ -292,6 +295,7 @@ func (k *kernel) run(ctx context.Context, px *prepped, src objSource, input []in
 				k.hits = append(k.hits, h)
 			}
 		}
+		k.vctx.Disarm()
 		k.vtime += time.Since(t0)
 	}
 	k.sizePruned += int64(pruned)

@@ -2,7 +2,7 @@ package core
 
 // Differential tests for the per-worker scratch refactor at the join
 // level: the parallel probe loop (per-worker verify.Context clones with
-// their own scratch arenas and similarity caches) must return
+// their own scratch arenas and probe tables) must return
 // byte-identical results — same pairs, same order, same Sim bits — as
 // the single-worker run, across a randomized configuration matrix.
 // Run with -race to also prove the clones share no mutable state.
@@ -97,7 +97,8 @@ func TestParallelJoinBitIdentical(t *testing.T) {
 
 // TestParallelJoinMatchesNaiveSims: beyond pair sets, the scratch-backed
 // join's similarities must equal the naive all-pairs similarities bit
-// for bit (the sim cache and solver reuse may not perturb a single ulp).
+// for bit (path-code similarities and solver reuse may not perturb a
+// single ulp).
 func TestParallelJoinMatchesNaiveSims(t *testing.T) {
 	iterations := 20
 	if testing.Short() {

@@ -283,13 +283,19 @@ func TestSnapshotV3SegmentLayoutRoundTrip(t *testing.T) {
 	if err := ix.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	wantSizes := append([]int(nil), ix.SegmentSizes()...)
+	// Read the layout off the epoch the snapshot writes: a merge the seal
+	// started may land between two separate loads of the view.
+	pin := ix.Pin()
+	var wantSizes []int
+	for _, s := range pin.v.segs {
+		wantSizes = append(wantSizes, len(s.objs))
+	}
 	if len(wantSizes) < 2 {
 		t.Fatalf("corpus too small to exercise layout: %v", wantSizes)
 	}
 
 	var buf bytes.Buffer
-	if err := ix.WriteSnapshot(&buf); err != nil {
+	if err := pin.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	ix.WaitMerges()

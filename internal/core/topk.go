@@ -30,11 +30,13 @@ func TopKSelfJoin(h *hierarchy.Hierarchy, objects [][]string, k int, opt Options
 	opt.ComputeSims = true
 	total := &Stats{}
 
-	schedule := []float64{0.95, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1}
+	// The floor closes the schedule: it runs unless a step at or above it
+	// already found k pairs — also when the floor is above every step.
+	schedule := []float64{0.95, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, floor}
 	var pairs []Pair
 	for _, tau := range schedule {
 		if tau < floor {
-			break
+			continue
 		}
 		opt.Tau = tau
 		var st *Stats
@@ -47,16 +49,6 @@ func TopKSelfJoin(h *hierarchy.Hierarchy, objects [][]string, k int, opt Options
 		if len(pairs) >= k || tau <= floor {
 			break
 		}
-	}
-	if opt.Tau > floor && len(pairs) < k {
-		opt.Tau = floor
-		var st *Stats
-		var err error
-		pairs, st, err = SelfJoin(h, objects, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		accumulate(total, st)
 	}
 
 	sort.Slice(pairs, func(i, j int) bool {

@@ -30,7 +30,14 @@ type Hierarchy struct {
 	depth    []int32
 	children [][]NodeID
 	byName   map[string][]NodeID
+	code     []uint64 // see PathCode; noCode when the path does not fit
 }
+
+// maxPathDepth is the deepest node a path code holds (PathCode): 8 bits
+// per level, the low byte left free.
+const maxPathDepth = 7
+
+const noCode = ^uint64(0)
 
 // New returns a hierarchy containing only a root node with the given name.
 // The root has depth 0 (paper §2.1.1).
@@ -41,6 +48,7 @@ func New(rootName string) *Hierarchy {
 	h.depth = append(h.depth, 0)
 	h.children = append(h.children, nil)
 	h.byName[rootName] = []NodeID{0}
+	h.code = append(h.code, 0)
 	return h
 }
 
@@ -57,13 +65,27 @@ func (h *Hierarchy) Add(parent NodeID, name string) NodeID {
 		panic(fmt.Sprintf("hierarchy: Add under invalid parent %d", parent))
 	}
 	id := NodeID(len(h.names))
+	d, ord, code := h.depth[parent]+1, len(h.children[parent])+1, noCode
+	if pc := h.code[parent]; pc != noCode && d <= maxPathDepth && ord <= 0xff {
+		code = pc | uint64(ord)<<(64-8*d)
+	}
 	h.names = append(h.names, name)
 	h.parent = append(h.parent, parent)
-	h.depth = append(h.depth, h.depth[parent]+1)
+	h.depth = append(h.depth, d)
+	h.code = append(h.code, code)
 	h.children = append(h.children, nil)
 	h.children[parent] = append(h.children[parent], id)
 	h.byName[name] = append(h.byName[name], id)
 	return id
+}
+
+// PathCode returns n's root path in one word: byte i from the top is the
+// child ordinal + 1 of n's ancestor at depth i+1 (n itself at its own
+// depth), the low byte is free, so two nodes' LCA is at depth
+// min(bits.LeadingZeros64(a^b)/8, Depth(a), Depth(b)). ok is false when
+// n is deeper than 7 levels or its path passes a 256th child.
+func (h *Hierarchy) PathCode(n NodeID) (code uint64, ok bool) {
+	return h.code[n], h.code[n] != noCode
 }
 
 // Name returns the name of node n.

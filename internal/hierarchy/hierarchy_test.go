@@ -2,7 +2,9 @@ package hierarchy
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -284,4 +286,64 @@ func TestAddPanicsOnInvalidParent(t *testing.T) {
 		}
 	}()
 	h.Add(99, "x")
+}
+
+// TestPathCodeLCA: a node has a path code exactly when it is at most
+// maxPathDepth deep and no node on its root path is past the 255th child
+// of its parent, and for every two coded nodes the equal leading bytes of
+// their codes, capped by their depths, are the depth of their LCA. The
+// trees are random (most deeper than the codes reach) and one hand-built
+// tree has a 300-child node and a chain past the code's depth.
+func TestPathCodeLCA(t *testing.T) {
+	wide := New("root")
+	hub := wide.Add(wide.Root(), "hub")
+	for i := 0; i < 300; i++ {
+		c := wide.Add(hub, "leaf")
+		if i%50 == 0 || i == 254 || i == 255 {
+			wide.Add(c, "below")
+		}
+	}
+	for n, d := wide.Root(), 0; d < maxPathDepth+2; d++ {
+		n = wide.Add(n, "chain")
+	}
+	trees := []*Hierarchy{wide}
+	r := rand.New(rand.NewSource(29))
+	for i := 0; i < 20; i++ {
+		trees = append(trees, randomTree(r, 2+r.Intn(300)))
+	}
+	coded, uncoded, pairs := 0, 0, 0
+	for _, h := range trees {
+		for i := 0; i < h.Len(); i++ {
+			n := NodeID(i)
+			fits := h.Depth(n) <= maxPathDepth
+			for m := n; m != h.Root() && fits; m = h.Parent(m) {
+				fits = slices.Index(h.Children(h.Parent(m)), m) < 255
+			}
+			if _, ok := h.PathCode(n); ok != fits {
+				t.Fatalf("node %d at depth %d: has a code %v, fits %v", n, h.Depth(n), ok, fits)
+			}
+			if fits {
+				coded++
+			} else {
+				uncoded++
+			}
+		}
+		for a := 0; a < h.Len(); a++ {
+			ca, oka := h.PathCode(NodeID(a))
+			for b := 0; b < h.Len() && oka; b++ {
+				cb, okb := h.PathCode(NodeID(b))
+				if !okb {
+					continue
+				}
+				pairs++
+				got := min(bits.LeadingZeros64(ca^cb)/8, h.Depth(NodeID(a)), h.Depth(NodeID(b)))
+				if want := h.LCADepth(NodeID(a), NodeID(b)); got != want {
+					t.Fatalf("nodes %d, %d: LCA depth %d from codes %x, %x; want %d", a, b, got, ca, cb, want)
+				}
+			}
+		}
+	}
+	if coded < 1000 || uncoded < 300 || pairs < 100000 {
+		t.Fatalf("only %d coded and %d uncoded nodes, %d pairs", coded, uncoded, pairs)
+	}
 }

@@ -80,6 +80,7 @@ type Space struct {
 	// groupCache[e], so verification reads a float where it used to load
 	// the element's Info and walk its mappings.
 	maxDiff []float64
+	paths   []uint64 // the path column beside it (PathCodes)
 
 	// pub is an atomically published snapshot of the group caches, for
 	// the streaming Indexer: the owner fills the caches for every element
@@ -95,11 +96,16 @@ type Space struct {
 }
 
 // groupCaches is one published snapshot of the per-element verification
-// caches: the group keys and, slot for slot, the MaxDiffSim column.
+// caches: the group keys and, slot for slot, the two columns.
 type groupCaches struct {
 	keys    [][]Sig
 	maxDiff []float64
+	paths   []uint64
 }
+
+// NoPath is the path slot of an element without a code; a real slot's
+// low byte is a depth below 8, so it is never all ones.
+const NoPath = ^uint64(0)
 
 // genState is per-goroutine signature-generation state: reusable build
 // buffers plus the arenas the cached per-element slices are carved from.
@@ -364,19 +370,25 @@ func (sp *Space) Warm(n, workers int) {
 	}
 }
 
-// growGroupCaches extends the group-key cache and the MaxDiffSim column
-// to cover element ids below n.
+// growGroupCaches extends the group-key cache and both columns to cover
+// element ids below n.
 func (sp *Space) growGroupCaches(n int) {
 	for len(sp.groupCache) < n {
 		sp.groupCache = append(sp.groupCache, nil)
 		sp.maxDiff = append(sp.maxDiff, 0)
+		sp.paths = append(sp.paths, NoPath)
 	}
 }
 
-// fillGroupCaches generates e's slot of both group caches.
+// fillGroupCaches generates e's slot of the group caches.
 func (sp *Space) fillGroupCaches(st *genState, e elem.ID) {
 	sp.groupCache[e] = sp.genGroupKeys(st, e)
 	sp.maxDiff[e] = sp.res.MaxDiffSim(e, sp.metric)
+	if ms := sp.res.Info(e).Mappings; len(ms) == 1 && !(ms[0].Phi < 1) {
+		if c, ok := sp.h.PathCode(ms[0].Node); ok {
+			sp.paths[e] = c | uint64(ms[0].Depth)
+		}
+	}
 }
 
 // GroupKeys returns the node signatures of element e regardless of the
@@ -407,6 +419,17 @@ func (sp *Space) MaxDiffSims() []float64 {
 	return sp.maxDiff
 }
 
+// PathCodes is MaxDiffSims for the path column: slot e is the
+// hierarchy.PathCode of e's node with its depth in the low byte when e
+// maps to one node with φ = 1 (Definition 1 then gives e's similarities),
+// else NoPath.
+func (sp *Space) PathCodes() []uint64 {
+	if p := sp.pub.Load(); p != nil {
+		return p.paths
+	}
+	return sp.paths
+}
+
 // Publish snapshots the group caches for lock-free readers. The caller
 // (the cache owner) must have filled every slot it wants readers to see
 // — genGroupKeys never stores nil, so a filled slot is exactly a non-nil
@@ -414,7 +437,7 @@ func (sp *Space) MaxDiffSims() []float64 {
 // those readers (the Indexer does so via its view pointer).
 func (sp *Space) Publish() {
 	n := len(sp.groupCache)
-	sp.pub.Store(&groupCaches{keys: sp.groupCache[:n:n], maxDiff: sp.maxDiff[:n:n]})
+	sp.pub.Store(&groupCaches{keys: sp.groupCache[:n:n], maxDiff: sp.maxDiff[:n:n], paths: sp.paths[:n:n]})
 }
 
 // genGroupKeys computes the node-signature grouping keys of one element

@@ -10,7 +10,7 @@ import (
 // TestSteadyStateVerifyZeroAlloc pins the allocation contract of the
 // verification hot path: once a Context's scratch has grown to the
 // workload's steady-state sizes, verifying a candidate pair (including
-// the adaptive ladder, Hungarian solves and the similarity cache) must
+// the adaptive ladder, Hungarian solves and the probe tables) must
 // perform zero heap allocations. A regression here silently reintroduces
 // the per-pair map/slice churn this scratch design removed.
 func TestSteadyStateVerifyZeroAlloc(t *testing.T) {
@@ -86,7 +86,7 @@ func TestSolverReuseZeroAlloc(t *testing.T) {
 	ladder := func() {
 		x, y := objs[i%len(objs)], objs[(i*3+1)%len(objs)]
 		i++
-		s.edges = ctx.appendEdges(s, s.edges[:0], x, y)
+		s.edges = ctx.appendEdges(s.edges[:0], x, y)
 		s.solver.UpperBound(len(x), len(y), s.edges)
 		s.solver.LowerBound(len(x), len(y), s.edges)
 		s.solver.MaxWeight(len(x), len(y), s.edges)

@@ -67,7 +67,7 @@ func BenchmarkVerifyLadder(b *testing.B) {
 	for x := range objs {
 		for y := 0; y < x; y++ {
 			need := ctx.Set.PairOverlap(ctx.Tau, len(objs[x]), len(objs[y]))
-			if countReaches(keys[x], keys[y], mathx.CeilInt(need)) {
+			if countBound(keys[x], keys[y]) >= mathx.CeilInt(need) {
 				pairs = append(pairs, [2]int{x, y})
 			}
 		}

@@ -43,12 +43,23 @@ func countBound(xk, yk []sig.Sig) int {
 	return total
 }
 
-// TestCountReachesMatchesCountBound checks that stopping early never
-// changes the count-pruning decision: over random sorted multisets with
-// duplicates (K-Join+ elements carry several keys) and every threshold
-// around the true count, countReaches(need) ≡ countBound ≥ need.
+// reaches is count pruning's table walk with pk loaded as the probe's
+// keys and qk walked. One set of tables serves every call, so each load
+// must also retire the last one's keys.
+func reaches(pt *probeTables, pk, qk []sig.Sig, need int) bool {
+	pt.load(nil, &Prepared{Keys: pk})
+	return pt.countReaches(qk, need)
+}
+
+// TestCountReachesMatchesCountBound checks that walking one side against
+// the other's key counts, and stopping early, never changes the
+// count-pruning decision: over random sorted multisets with duplicates
+// (K-Join+ elements carry several keys), either side loaded as the
+// probe's, and every threshold around the true count, countReaches(need)
+// ≡ countBound ≥ need.
 func TestCountReachesMatchesCountBound(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
+	var pt probeTables
 	multiset := func(n, alphabet int) []sig.Sig {
 		ks := make([]sig.Sig, n)
 		for i := range ks {
@@ -63,8 +74,10 @@ func TestCountReachesMatchesCountBound(t *testing.T) {
 		yk := multiset(r.Intn(20), alphabet)
 		want := countBound(xk, yk)
 		for need := -1; need <= max(len(xk), len(yk))+1; need++ {
-			if got := countReaches(xk, yk, need); got != (want >= need) {
-				t.Fatalf("countReaches(%v, %v, %d) = %v, countBound = %d", xk, yk, need, got, want)
+			for _, side := range [][2][]sig.Sig{{xk, yk}, {yk, xk}} {
+				if got := reaches(&pt, side[0], side[1], need); got != (want >= need) {
+					t.Fatalf("countReaches(%v against %v, %d) = %v, countBound = %d", side[1], side[0], need, got, want)
+				}
 			}
 		}
 	}
@@ -79,6 +92,7 @@ func TestCountReachesMatchesCountBound(t *testing.T) {
 // never rejects a need that countReaches reaches.
 func TestSketchBoundAboveCount(t *testing.T) {
 	r := rand.New(rand.NewSource(24))
+	var pt probeTables
 	var colliding []sig.Sig // keys sharing key 0's bit
 	for k := sig.Sig(0); len(colliding) < 12; k++ {
 		if KeySketch([]sig.Sig{k}) == KeySketch([]sig.Sig{0}) {
@@ -112,7 +126,7 @@ func TestSketchBoundAboveCount(t *testing.T) {
 			t.Fatalf("sketch bound %d (%d swapped) of %v, %v; exact count %d", bound, swapped, xk, yk, exact)
 		}
 		for need := exact - 1; need <= exact+1; need++ {
-			if bound < need && countReaches(xk, yk, need) {
+			if bound < need && (reaches(&pt, xk, yk, need) || reaches(&pt, yk, xk, need)) {
 				t.Fatalf("sketch rejects need %d of %v, %v, which countReaches reaches", need, xk, yk)
 			}
 		}

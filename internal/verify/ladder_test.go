@@ -1,10 +1,8 @@
 package verify
 
 import (
-	"cmp"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"kjoin/internal/elem"
@@ -35,13 +33,16 @@ func seedVerifyKeyed(c *Context, x, y []elem.ID, kind Kind, st *Stats) bool {
 	return seedVerify(c, x, y, kind, st)
 }
 
-// TestWeightedBoundMatchesGroups is the merge walk's property: over
+// TestWeightedBoundMatchesGroups is the table walk's property: over
 // random element multisets — duplicate ids included, Lemma 4 intersects
-// multisets — drawn so that objects share groups, the walk's sum is the
-// seed's Σ groupWeightedUB up to rounding, a walk cut short only ever
-// reports a bound below its floor when the full sum is below it too, and
-// with τ placed so that the required overlap sits on, just under and
-// just over that sum, the ladder's decision and counters are the seed's.
+// multisets — drawn so that objects share groups, for the pairs of sets
+// (the objects Prepare gives the column the walk reads) and either side
+// armed as the probe, the walk's sum is the seed's Σ groupWeightedUB up
+// to rounding and a walk cut short only ever reports a bound below its
+// floor when the full sum is below it too; and for every pair, with τ
+// placed so that the required overlap sits on, just under and just over
+// that sum, the ladder's decision and counters are the seed's whether x,
+// y or neither is the armed probe.
 func TestWeightedBoundMatchesGroups(t *testing.T) {
 	ctx, _, _ := diffCtx(t, 300, 0.8, 0.5, elem.Standard, setmetric.Jaccard, false)
 	oracle := &Context{Res: ctx.Res, Space: ctx.Space, Metric: ctx.Metric, Set: ctx.Set, Delta: ctx.Delta}
@@ -76,11 +77,12 @@ func TestWeightedBoundMatchesGroups(t *testing.T) {
 		}
 		return o
 	}
-	decided, early, multisets := 0, 0, 0
+	decided, early, walked, multisets := 0, 0, 0, 0
 	for trial := 0; trial < 3000; trial++ {
 		x, y := object(), object()
 		px, py := ctx.Prepare(x, nil, nil), ctx.Prepare(y, nil, nil)
-		if (px.ByKey == nil) != hasRepeat(x) || (py.ByKey == nil) != hasRepeat(y) {
+		sx, sy := dropRepeats(x), dropRepeats(y)
+		if (px.ByKey == nil) != (len(sx) < len(x)) || (py.ByKey == nil) != (len(sy) < len(y)) {
 			t.Fatal("Prepare must give exactly the sets of single-key elements their key-ordered column")
 		}
 		if px.ByKey == nil || py.ByKey == nil {
@@ -89,19 +91,25 @@ func TestWeightedBoundMatchesGroups(t *testing.T) {
 		ref := seedWeightedUB(oracle, x, y)
 		n := float64(len(x) + len(y))
 		slack := 4 * n * n * 0x1p-52
-		// The walk itself intersects multisets, like the groups' Lemma 4.
-		wx, wy := withColumn(ctx, px), withColumn(ctx, py)
-		if w := ctx.weightedBound(s, &wx, &wy, math.Inf(-1)); math.Abs(w-ref) > slack {
-			t.Fatalf("trial %d: walk %v, groups %v (x=%v y=%v)", trial, w, ref, x, y)
-		}
-		for _, floor := range []float64{ref - 1, ref - 1e-9, ref, ref + 1e-9, ref + 0.5, ref + 2} {
-			w := ctx.weightedBound(s, &wx, &wy, floor)
-			if w < ref-slack {
-				t.Fatalf("trial %d floor %v: walk reports %v, under the full sum %v", trial, floor, w, ref)
+		// The walk reads sets: check it on the pair with its repeats dropped.
+		psx, psy := ctx.Prepare(sx, nil, nil), ctx.Prepare(sy, nil, nil)
+		setRef := seedWeightedUB(oracle, sx, sy)
+		for _, side := range [][2]*Prepared{{&psx, &psy}, {&psy, &psx}} {
+			walked++
+			ctx.Arm(side[0])
+			if w := ctx.weightedBound(s, side[1], math.Inf(-1)); math.Abs(w-setRef) > slack {
+				t.Fatalf("trial %d: walk %v, groups %v (probe %v, walked %v)", trial, w, setRef, side[0].Elems, side[1].Elems)
 			}
-			if w < floor {
-				early++
+			for _, floor := range []float64{setRef - 1, setRef - 1e-9, setRef, setRef + 1e-9, setRef + 0.5, setRef + 2} {
+				w := ctx.weightedBound(s, side[1], floor)
+				if w < setRef-slack {
+					t.Fatalf("trial %d floor %v: walk reports %v, under the full sum %v", trial, floor, w, setRef)
+				}
+				if w < floor {
+					early++
+				}
 			}
+			ctx.Disarm()
 		}
 
 		if ref == 0 {
@@ -118,19 +126,27 @@ func TestWeightedBoundMatchesGroups(t *testing.T) {
 			}
 			ctx.Tau, oracle.Tau = tau, tau
 			for _, kind := range []Kind{SubGraph, Adaptive} {
-				var got, want Stats
-				g := ctx.VerifyPrepared(&px, &py, kind, &got)
+				var want Stats
 				w := seedVerifyKeyed(oracle, x, y, kind, &want)
-				if g != w || got != want {
-					t.Fatalf("trial %d τ=%v (need≈%v, Lemma 4 sum %v) %v: got %v %+v, seed %v %+v",
-						trial, tau, target, ref, kind, g, got, w, want)
+				for _, probe := range []*Prepared{nil, &px, &py} {
+					if probe != nil {
+						ctx.Arm(probe)
+					}
+					var got Stats
+					g := ctx.VerifyPrepared(&px, &py, kind, &got)
+					ctx.Disarm()
+					if g != w || got != want {
+						t.Fatalf("trial %d τ=%v (need≈%v, Lemma 4 sum %v) %v, probe %v: got %v %+v, seed %v %+v",
+							trial, tau, target, ref, kind, probe, g, got, w, want)
+					}
+					decided++
 				}
-				decided++
 			}
 		}
 	}
-	if decided < 10000 || early < 1000 || multisets < 500 {
-		t.Fatalf("only %d boundary decisions, %d early exits and %d pairs with a repeated id exercised", decided, early, multisets)
+	if decided < 30000 || walked < 6000 || early < 5000 || multisets < 500 {
+		t.Fatalf("only %d boundary decisions, %d walks, %d early exits and %d pairs with a repeated id exercised",
+			decided, walked, early, multisets)
 	}
 }
 
@@ -139,7 +155,8 @@ func TestWeightedBoundMatchesGroups(t *testing.T) {
 // Plus resolution — where an element with several group keys gives its
 // object more keys than elements, merged groups take Lemma 4 out of the
 // chain, and sketch ≥ count ≥ overlap must still hold. At every link a
-// pair the sketch rejects is one VerifyPrepared count-prunes.
+// pair the sketch rejects is one VerifyPrepared count-prunes, with either
+// object armed as the probe.
 func TestBoundChain(t *testing.T) {
 	for _, plus := range []bool{false, true} {
 		ctx, objs, keys := diffCtx(t, 140, 0.8, 0.6, elem.Standard, setmetric.Jaccard, plus)
@@ -174,10 +191,14 @@ func TestBoundChain(t *testing.T) {
 				}
 				if _, needCeil := ctx.scratch().pairNeed(ctx, len(objs[x]), len(objs[y])); sketch < needCeil {
 					rejected++
-					var st Stats
-					if ctx.VerifyPrepared(&preps[x], &preps[y], Adaptive, &st) || st != (Stats{Pairs: 1, CountPruned: 1}) {
-						t.Fatalf("plus=%v pair (%d, %d): the sketch rejects it, the ladder books %+v", plus, x, y, st)
+					for _, probe := range []*Prepared{&preps[x], &preps[y]} {
+						ctx.Arm(probe)
+						var st Stats
+						if ctx.VerifyPrepared(&preps[x], &preps[y], Adaptive, &st) || st != (Stats{Pairs: 1, CountPruned: 1}) {
+							t.Fatalf("plus=%v pair (%d, %d): the sketch rejects it, the ladder books %+v", plus, x, y, st)
+						}
 					}
+					ctx.Disarm()
 				}
 			}
 		}
@@ -187,25 +208,57 @@ func TestBoundChain(t *testing.T) {
 	}
 }
 
-func hasRepeat(o []elem.ID) bool {
+// dropRepeats returns o without the later copies of a repeated id.
+func dropRepeats(o []elem.ID) []elem.ID {
+	var out []elem.ID
 	seen := map[elem.ID]bool{}
 	for _, e := range o {
-		if seen[e] {
-			return true
+		if !seen[e] {
+			seen[e] = true
+			out = append(out, e)
 		}
-		seen[e] = true
 	}
-	return false
+	return out
 }
 
-// withColumn returns p with the key-ordered column Prepare withholds
-// from an object that repeats an id (its elements all have one key).
-func withColumn(c *Context, p Prepared) Prepared {
-	if p.ByKey == nil {
-		p.ByKey = slices.Clone(p.Elems)
-		slices.SortFunc(p.ByKey, func(a, b elem.ID) int {
-			return cmp.Or(cmp.Compare(c.Space.GroupKeys(a)[0], c.Space.GroupKeys(b)[0]), cmp.Compare(a, b))
-		})
+// TestArmedTablesNeverStale: a Context armed with probe P and then handed
+// a pair without P, a pair with P after that, or — once disarmed — a
+// different object at P's address, decides every pair and books every
+// counter as a fresh Context does.
+func TestArmedTablesNeverStale(t *testing.T) {
+	for _, plus := range []bool{false, true} {
+		ctx, objs, _ := diffCtx(t, 140, 0.6, 0.3, elem.Standard, setmetric.Jaccard, plus)
+		preps, _ := prepareAll(ctx, objs)
+		r := rand.New(rand.NewSource(29))
+		var total Stats
+		check := func(trial int, what string, x, y *Prepared, kind Kind) {
+			var got, want Stats
+			g := ctx.VerifyPrepared(x, y, kind, &got)
+			w := ctx.Clone().VerifyPrepared(x, y, kind, &want)
+			if g != w || got != want {
+				t.Fatalf("plus=%v trial %d, %s: got %v %+v, a fresh Context %v %+v", plus, trial, what, g, got, w, want)
+			}
+			total.Add(got)
+		}
+		for trial := 0; trial < 2000; trial++ {
+			p, x, y := r.Intn(len(objs)), r.Intn(len(objs)), r.Intn(len(objs))
+			if p == x || p == y {
+				continue
+			}
+			kind := []Kind{SubGraph, Adaptive}[trial%2]
+			ctx.Arm(&preps[p])
+			check(trial, "a pair without the armed probe", &preps[x], &preps[y], kind)
+			check(trial, "the probe's pair after it", &preps[p], &preps[y], kind)
+			slot := preps[p]
+			ctx.Arm(&slot)
+			check(trial, "the armed probe", &preps[y], &slot, kind)
+			ctx.Disarm()
+			slot = preps[x]
+			check(trial, "another object at the disarmed probe's address", &slot, &preps[y], kind)
+		}
+		// Under Plus MaxDiffSim is the best φ, 1, so Lemma 4 never prunes.
+		if total.CountPruned < 100 || (total.WeightedPruned < 100) != plus || total.Results < 100 {
+			t.Fatalf("plus=%v: the pairs reached too few rungs: %+v", plus, total)
+		}
 	}
-	return p
 }

@@ -6,11 +6,13 @@
 // sig.Sig plus a parallel epoch array. Bumping the epoch invalidates the
 // whole table in O(1) — no clearing, no rehashing — and a slot is live
 // only when its stamp equals the current epoch, which reproduces map
-// "missing key reads as zero" semantics exactly.
+// "missing key reads as zero" semantics exactly. The probe tables, which
+// outlive a pair, are cleared slot by slot per load instead. Similarities
+// are not cached: path codes give most in O(1) (Context.sim), and the
+// rest gained nothing from the cache that used to sit before Res.Sim.
 package verify
 
 import (
-	"math/bits"
 	"sort"
 
 	"kjoin/internal/elem"
@@ -21,20 +23,17 @@ import (
 )
 
 // denseTable is the storage of both table kinds: a value and an epoch
-// stamp per key. It grows by doubling, but never to less than floor —
-// the key range a caller that knows it has reserved (Scratch.reserve) —
-// so a reserved table is allocated once, and only if it is ever touched.
+// stamp per key, grown by doubling to the keys it meets.
 type denseTable struct {
 	epoch []uint64
 	val   []int32
-	floor int
 }
 
 func (t *denseTable) grow(n int) {
 	if n <= len(t.epoch) {
 		return
 	}
-	n = max(n, 2*len(t.epoch), t.floor)
+	n = max(n, 2*len(t.epoch))
 	ne := make([]uint64, n)
 	copy(ne, t.epoch)
 	t.epoch = ne
@@ -82,87 +81,66 @@ func (t *elemTable) incr(e elem.ID, ep uint64) int32 {
 	return t.val[e]
 }
 
-// simCacheMinBits/simCacheMaxBits bound the element-pair similarity
-// cache: it starts at 1<<simCacheMinBits slots (16 KiB of keys+values)
-// and doubles as it fills, up to 1<<simCacheMaxBits (~512 KiB per
-// worker) — so a one-shot Similarity call pays for a small cache while
-// a long join grows to the full size. A reserved scratch starts at eight
-// or more slots per element of its collection (within the same bounds).
-const (
-	simCacheMinBits = 10
-	simCacheMaxBits = 15
-)
-
-// simCacheProbes is the linear-probe window before evicting.
-const simCacheProbes = 4
-
-// simCache is a bounded cache of element-pair similarities keyed by the
-// packed (min ID, max ID) pair. The Resolver's Sim runs a
-// mappings×mappings LCA loop per call; distinct element pairs recur
-// across many candidate pairs, so caching turns that loop into a single
-// probe. Eviction overwrites the home slot (deterministic), growth drops
-// the contents (it is a cache), and a hit returns exactly the value Sim
-// computed, so results are unaffected by cache policy. Key 0 marks an
-// empty slot; packed keys are never 0 because the max ID occupies the
-// low word and exceeds the min ID. Allocation is lazy (first put) and
-// growth stops at the cap, so the steady state performs none.
-type simCache struct {
-	keys  []uint64
-	vals  []float64
-	shift uint // 64 - log2(len(keys))
-	fills int  // occupied slots since last resize
-	bits  uint // log2 of the first allocation; 0 selects simCacheMinBits
+// probeTables is a probe's side of Lemmas 3 and 4: per group key its
+// count and Σ MaxDiffSim, reached through a dense slot index, and a mark
+// per element. Both dense columns grow only to the probe's own largest
+// key and element id, and the next load clears just the slots this one
+// set, so they stay small and read nothing another goroutine grows.
+type probeTables struct {
+	of     *Prepared  // the armed probe (Context.Arm), if any
+	slot   []int32    // slot[k]: 1 + k's index in keys; 0: not a probe key
+	keys   []probeKey // the probe's distinct keys
+	n      int        // len(Keys) of the probe
+	marks  []bool     // marks[e]: e is a probe element
+	marked []elem.ID  // the marks set
 }
 
-func (sc *simCache) slot(key uint64) uint64 {
-	return (key * 0x9e3779b97f4a7c15) >> sc.shift
+type probeKey struct {
+	key      sig.Sig
+	cnt, end int32 // the key's run in the probe's Keys ends at end
+	md       float64
 }
 
-func (sc *simCache) get(key uint64) (float64, bool) {
-	if sc.keys == nil {
-		return 0, false
+// load fills the tables from p, and from p's key-ordered column (a set of
+// single-key elements: a mark per element is all Lemma 4 needs of them)
+// the weights and marks. It disarms.
+func (t *probeTables) load(md []float64, p *Prepared) {
+	t.of = nil
+	for _, pk := range t.keys {
+		t.slot[pk.key] = 0
 	}
-	mask := uint64(len(sc.keys) - 1)
-	h := sc.slot(key)
-	for i := uint64(0); i < simCacheProbes; i++ {
-		j := (h + i) & mask
-		if sc.keys[j] == key {
-			return sc.vals[j], true
+	for _, e := range t.marked {
+		t.marks[e] = false
+	}
+	t.keys, t.n, t.marked = t.keys[:0], len(p.Keys), append(t.marked[:0], p.ByKey...)
+	if n := len(p.Keys); n > 0 && int(p.Keys[n-1]) >= len(t.slot) {
+		t.slot = append(t.slot, make([]int32, int(p.Keys[n-1])+1-len(t.slot))...)
+	}
+	for i, k := range p.Keys {
+		if i == 0 || k != p.Keys[i-1] { // Keys is sorted: a new key
+			t.keys = append(t.keys, probeKey{key: k})
+			t.slot[k] = int32(len(t.keys))
 		}
-		if sc.keys[j] == 0 {
-			return 0, false
+		pk := &t.keys[len(t.keys)-1]
+		pk.cnt, pk.end = pk.cnt+1, int32(i+1)
+		if p.ByKey != nil {
+			pk.md += md[p.ByKey[i]]
 		}
 	}
-	return 0, false
+	for _, e := range p.ByKey {
+		if n := int(e) + 1; n > len(t.marks) {
+			t.marks = append(t.marks, make([]bool, n-len(t.marks))...)
+		}
+		t.marks[e] = true
+	}
 }
 
-func (sc *simCache) put(key uint64, v float64) {
-	if sc.keys == nil {
-		b := max(sc.bits, simCacheMinBits)
-		sc.keys = make([]uint64, 1<<b)
-		sc.vals = make([]float64, 1<<b)
-		sc.shift = 64 - b
-	} else if sc.fills > len(sc.keys)/2 && len(sc.keys) < 1<<simCacheMaxBits {
-		sc.keys = make([]uint64, 2*len(sc.keys))
-		sc.vals = make([]float64, len(sc.vals)*2)
-		sc.shift--
-		sc.fills = 0
+// key returns the probe's entry for k, or nil when the probe has no k.
+func (t *probeTables) key(k sig.Sig) *probeKey {
+	if int(k) < len(t.slot) && t.slot[k] > 0 {
+		return &t.keys[t.slot[k]-1]
 	}
-	mask := uint64(len(sc.keys) - 1)
-	h := sc.slot(key)
-	for i := uint64(0); i < simCacheProbes; i++ {
-		j := (h + i) & mask
-		if sc.keys[j] == 0 || sc.keys[j] == key {
-			if sc.keys[j] == 0 {
-				sc.fills++
-			}
-			sc.keys[j] = key
-			sc.vals[j] = v
-			return
-		}
-	}
-	sc.keys[h&mask] = key // window full: evict the home slot
-	sc.vals[h&mask] = v
+	return nil
 }
 
 // gb is one active group of the adaptive verifier: its index into the
@@ -222,7 +200,7 @@ type Scratch struct {
 	// loose is the ladder's per-group upper bound of the current pair,
 	// parallel to the group list: a group's count, then its Lemma 4 term
 	// once that is known. wkeys/wterms are the pair's shared keys and
-	// their Lemma 4 terms as the merge walk (weightedBound) met them.
+	// their Lemma 4 terms as the table walk (weightedBound) met them.
 	loose  []float64
 	wkeys  []sig.Sig
 	wterms []float64
@@ -238,7 +216,7 @@ type Scratch struct {
 	// laziness with it).
 	lbEvals int64
 
-	sims simCache
+	probe probeTables
 
 	// need memoises the overlap the last verified pair had to reach and
 	// its ceiling, keyed by everything they are computed from: a join
@@ -255,18 +233,6 @@ type Scratch struct {
 // NewScratch returns an empty scratch workspace.
 func NewScratch() *Scratch {
 	return &Scratch{}
-}
-
-// reserve records the key ranges of the scratch's tables (see
-// Context.Reserve).
-func (s *Scratch) reserve(nElems, nSigs int) {
-	for _, t := range []*sigTable{&s.parent, &s.gidx, &s.merged} {
-		t.floor = nSigs
-	}
-	for _, t := range []*elemTable{&s.cnt, &s.used, &s.takenX, &s.takenY} {
-		t.floor = nElems
-	}
-	s.sims.bits = uint(min(bits.Len(uint(8*nElems)), simCacheMaxBits))
 }
 
 // pairNeed returns c.Set.PairOverlap(c.Tau, nx, ny) and its robust

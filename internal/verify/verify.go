@@ -94,28 +94,13 @@ type Context struct {
 	scr *Scratch
 }
 
-// Clone returns a copy of c with its own fresh Scratch, sharing the
+// Clone returns a copy of c with a Scratch of its own, sharing the
 // (read-only) resolver and signature space. Use one clone per worker
-// goroutine.
+// goroutine. It never reads c's Scratch, so it may run beside
+// verification on c (a sync.Pool New hook does).
 func (c *Context) Clone() *Context {
-	cp := *c
-	cp.scr = NewScratch()
-	return &cp
+	return &Context{Res: c.Res, Space: c.Space, Metric: c.Metric, Set: c.Set, Delta: c.Delta, Tau: c.Tau}
 }
-
-// Reserve tells the context's workspace the id ranges it will see —
-// element ids below nElems, signature ids below nSigs — so each dense
-// table is allocated once, at full size, when first touched, instead of
-// doubling its way there. A batch join knows both after preprocessing
-// (Res.Len, Space.NumSigs); the streaming engine's ids keep growing, so
-// its contexts grow on demand.
-func (c *Context) Reserve(nElems, nSigs int) { c.scratch().reserve(nElems, nSigs) }
-
-// Prime materializes the context's lazily created Scratch. Callers that
-// later Clone the context from other goroutines (a sync.Pool New hook)
-// must prime it first: Clone reads the scratch pointer, and a concurrent
-// first verification on the original would otherwise write it.
-func (c *Context) Prime() { c.scratch() }
 
 // scratch returns the context's workspace, creating it on first use.
 func (c *Context) scratch() *Scratch {
@@ -125,27 +110,48 @@ func (c *Context) scratch() *Scratch {
 	return c.scr
 }
 
-// sim returns the element similarity Res.Sim(a, b, Metric) through the
-// scratch's bounded pair cache. The cache key is the packed unordered
-// pair (Resolver.Sim is exactly symmetric: the metric formulas, φ
-// products and LCA are all symmetric in their arguments), and a hit
-// returns the identical float Sim computed, so caching never changes
-// results.
-func (c *Context) sim(s *Scratch, a, b elem.ID) float64 {
+// Arm loads p's key tables for the pairs to come: until Disarm, a
+// VerifyPrepared pair with p (this pointer) on either side runs count
+// pruning and Lemma 4 over its other side alone. Disarm before p's
+// memory can hold another object.
+func (c *Context) Arm(p *Prepared) {
+	s := c.scratch()
+	s.probe.load(c.Space.MaxDiffSims(), p)
+	s.probe.of = p
+}
+
+// Disarm forgets the armed probe.
+func (c *Context) Disarm() { c.scratch().probe.of = nil }
+
+// pathSims[m][dl][da][db] is elem.Metric(m).Sim(dl, da, db).
+var pathSims = func() (t [2][8][8][8]float64) {
+	for i := range 2 * 8 * 8 * 8 {
+		t[i>>9][i>>6&7][i>>3&7][i&7] = elem.Metric(i>>9).Sim(i>>6&7, i>>3&7, i&7)
+	}
+	return t
+}()
+
+// sim returns Res.Sim(a, b, Metric), given the Space's path column. Two
+// coded elements are single nodes with φ = 1, so their similarity is
+// Metric.Sim of their LCA's depth — the equal leading bytes of the codes,
+// capped by the depths in the low bytes — and theirs: a table load, with
+// the bits of Res.Sim (its φ product is 1·1). Other pairs take Res.Sim.
+func (c *Context) sim(codes []uint64, a, b elem.ID) float64 {
 	if a == b {
 		return 1
 	}
-	lo, hi := a, b
-	if lo > hi {
-		lo, hi = hi, lo
+	if int(a) < len(codes) && int(b) < len(codes) {
+		if ca, cb := codes[a], codes[b]; ca != sig.NoPath && cb != sig.NoPath {
+			da, db := ca&0xff, cb&0xff
+			dl := min(uint64(bits.LeadingZeros64(ca^cb)/8), da, db)
+			m := 0
+			if c.Metric == elem.WuPalmer {
+				m = 1
+			}
+			return pathSims[m][dl][da][db]
+		}
 	}
-	key := uint64(uint32(lo))<<32 | uint64(uint32(hi))
-	if v, ok := s.sims.get(key); ok {
-		return v
-	}
-	v := c.Res.Sim(a, b, c.Metric)
-	s.sims.put(key, v)
-	return v
+	return c.Res.Sim(a, b, c.Metric)
 }
 
 // group is one node-signature group of a candidate pair: the element
@@ -239,10 +245,11 @@ func (c *Context) groups(x, y []elem.ID) []group {
 
 // appendEdges appends the δ-thresholded similarity edges between xe and
 // ye to dst (paper §2.1.2: edges below δ are removed from the bigraph).
-func (c *Context) appendEdges(s *Scratch, dst []matching.Edge, xe, ye []elem.ID) []matching.Edge {
+func (c *Context) appendEdges(dst []matching.Edge, xe, ye []elem.ID) []matching.Edge {
+	codes := c.Space.PathCodes()
 	for i, a := range xe {
 		for j, b := range ye {
-			if w := c.sim(s, a, b); mathx.GE(w, c.Delta) {
+			if w := c.sim(codes, a, b); mathx.GE(w, c.Delta) {
 				dst = append(dst, matching.Edge{X: i, Y: j, W: w})
 			}
 		}
@@ -253,16 +260,24 @@ func (c *Context) appendEdges(s *Scratch, dst []matching.Edge, xe, ye []elem.ID)
 // Overlap computes the exact fuzzy overlap ||x ∩̃δ y|| using the subgraph
 // decomposition (Lemma 8 guarantees it equals the whole-graph matching).
 func (c *Context) Overlap(x, y []elem.ID) float64 {
+	var calls int64
+	return c.groupsOverlap(c.groups(x, y), &calls)
+}
+
+// groupsOverlap sums the groups' maximum-weight matchings, adding the
+// Hungarian solves it runs to calls.
+func (c *Context) groupsOverlap(gs []group, calls *int64) float64 {
 	s := c.scratch()
 	total := 0.0
-	for _, g := range c.groups(x, y) {
+	for _, g := range gs {
 		if len(g.xe) == 0 || len(g.ye) == 0 {
 			continue
 		}
-		s.edges = c.appendEdges(s, s.edges[:0], g.xe, g.ye)
+		s.edges = c.appendEdges(s.edges[:0], g.xe, g.ye)
 		if len(s.edges) == 0 {
 			continue
 		}
+		*calls++
 		total += s.solver.MaxWeight(len(g.xe), len(g.ye), s.edges)
 	}
 	return total
@@ -272,7 +287,7 @@ func (c *Context) Overlap(x, y []elem.ID) float64 {
 // the whole bigraph (the Basic verifier's work).
 func (c *Context) OverlapBasic(x, y []elem.ID) float64 {
 	s := c.scratch()
-	s.edges = c.appendEdges(s, s.edges[:0], x, y)
+	s.edges = c.appendEdges(s.edges[:0], x, y)
 	if len(s.edges) == 0 {
 		return 0
 	}
@@ -290,13 +305,13 @@ func (c *Context) Similarity(x, y []elem.ID) float64 {
 type Prepared struct {
 	Elems []elem.ID
 	// Keys is the sorted multiset of the elements' node-signature group
-	// keys, one per (element, key) pair: Lemma 3 is a merge walk over two
-	// of them. Nil means not computed; the ladder then starts at the
-	// group structure.
+	// keys, one per (element, key) pair: Lemma 3 walks one of them against
+	// the other's key counts. Nil means not computed; the ladder then
+	// starts at the group structure.
 	Keys []sig.Sig
 	// ByKey is the elements again, in (group key, id) order, so that
-	// ByKey[i] is the element behind Keys[i]: Lemma 4 is then a merge
-	// walk too. It exists only when the object is a set of single-key
+	// ByKey[i] is the element behind Keys[i]: Lemma 4 is then such a walk
+	// too. It exists only when the object is a set of single-key
 	// elements — all of K-Join proper; an object with a multi-mapped
 	// K-Join+ element (or a repeated id) has none, and its pairs take the
 	// union-find path.
@@ -349,32 +364,30 @@ func (c *Context) SortedKeys(elems []elem.ID) []sig.Sig {
 	return c.Prepare(elems, nil, nil).Keys
 }
 
-// countReaches reports whether Σ_k min(count_x(k), count_y(k)) over the
-// sorted key multisets — the size of their multiset intersection —
-// reaches need. That sum bounds the number of similar element pairs
-// (each matched pair shares a key and consumes one x- and one y-element
-// counted under it), and therefore the fuzzy overlap (edge weights are
-// ≤ 1): this is Lemma 3 computed without building groups. The walk is
-// threshold-aware: it stops as soon as the count gets there, or as soon
-// as the keys still unread on the shorter side cannot make up the
-// difference — for most filter-generated candidates that is within the
-// first few keys.
-func countReaches(xk, yk []sig.Sig, need int) bool {
-	i, j, total := 0, 0, 0
-	for total < need {
-		if total+min(len(xk)-i, len(yk)-j) < need {
+// countReaches reports whether Σ_k min(count_p(k), count_q(k)) over the
+// loaded probe's keys and the sorted key multiset qk — the size of their
+// multiset intersection — reaches need. That sum bounds the number of
+// similar element pairs (each matched pair shares a key and consumes one
+// element of either side counted under it), and therefore the fuzzy
+// overlap (edge weights are ≤ 1): this is Lemma 3 as one walk over qk's
+// runs of equal keys. It stops as soon as the count gets there, or as
+// soon as the keys still unread on either side — the probe's past the
+// last shared one — cannot make up the difference.
+func (t *probeTables) countReaches(qk []sig.Sig, need int) bool {
+	total, left := 0, t.n
+	for i := 0; total < need; {
+		if total+min(len(qk)-i, left) < need {
 			return false
 		}
-		switch {
-		case xk[i] < yk[j]:
-			i++
-		case xk[i] > yk[j]:
-			j++
-		default:
-			total++
-			i++
+		k, j := qk[i], i+1
+		for j < len(qk) && qk[j] == k {
 			j++
 		}
+		if pk := t.key(k); pk != nil {
+			total += min(int(pk.cnt), j-i)
+			left = t.n - int(pk.end)
+		}
+		i = j
 	}
 	return true
 }
@@ -394,61 +407,45 @@ func KeySketch(keys []sig.Sig) uint64 {
 // is the bit of some key of x that y does not hold, so at least one key
 // instance of x per such bit has no partner: the count is at most
 // nx − popcount(bx &^ by), and by symmetry ny − popcount(by &^ bx). When
-// the bound is below need, countReaches(xk, yk, need) is false.
+// the bound is below need, count pruning rejects the pair.
 func SketchBound(bx uint64, nx int, by uint64, ny int) int {
 	return min(nx-bits.OnesCount64(bx&^by), ny-bits.OnesCount64(by&^bx))
 }
 
-// weightedBound computes Lemma 4's bound Σ_groups |Sᵢˣ ∩ Sᵢʸ| +
-// min(Σ MaxDiffSim over Sᵢˣ−∩, Σ MaxDiffSim over Sᵢʸ−∩) for two objects
-// that carry their key-ordered columns, in one merge walk: a group is a
-// run of equal keys, its elements are sorted by id within the run, and
-// the multiset intersection falls out of the walk. No group is built, no
-// table is touched and the weights come from the Space's dense column.
-// Like countReaches it is threshold-aware: while the sum so far plus one
-// per element still unread on the shorter side is below floor it returns
-// that (an upper bound of the full sum) instead of finishing. The shared
-// keys and their terms are left in the scratch (wkeys, wterms).
-func (c *Context) weightedBound(s *Scratch, x, y *Prepared, floor float64) float64 {
-	md := c.Space.MaxDiffSims()
+// weightedBound computes Lemma 4's bound Σ_groups |Sᵢᵖ ∩ Sᵢᑫ| +
+// min(Σ MaxDiffSim over Sᵢᵖ−∩, Σ MaxDiffSim over Sᵢᑫ−∩) of the loaded
+// probe p and q, both with key-ordered columns, in one walk over q's: a
+// group is a run of equal keys, its intersection the elements p marks,
+// and p's side its key's Σ MaxDiffSim less theirs (a reordered sum:
+// VerifyPrepared's slack band absorbs the rounding). While the sum so
+// far plus one per entry still unread is below floor it returns that, an
+// upper bound of the full sum. The shared keys and their terms are left
+// in the scratch (wkeys, wterms).
+func (c *Context) weightedBound(s *Scratch, q *Prepared, floor float64) float64 {
+	md, p := c.Space.MaxDiffSims(), &s.probe
 	s.wkeys, s.wterms = s.wkeys[:0], s.wterms[:0]
-	xk, yk, xe, ye := x.Keys, y.Keys, x.ByKey, y.ByKey
-	i, j, w := 0, 0, 0.0
-	for i < len(xk) && j < len(yk) {
-		k := xk[i]
-		if k != yk[j] {
-			if k < yk[j] {
-				i++
-			} else {
-				j++
-			}
+	qk, qe := q.Keys, q.ByKey
+	w := 0.0
+	for i := 0; i < len(qk); {
+		k := qk[i]
+		pk := p.key(k)
+		if pk == nil {
+			i++
 			continue
 		}
-		if rest := w + float64(min(len(xk)-i, len(yk)-j)); rest < floor {
+		if rest := w + float64(len(qk)-i); rest < floor {
 			return rest
 		}
-		inter, sx, sy := 0, 0.0, 0.0
-		for i < len(xk) && j < len(yk) && xk[i] == k && yk[j] == k {
-			switch a, b := xe[i], ye[j]; {
-			case a == b:
+		inter, si, sq := 0, 0.0, 0.0
+		for ; i < len(qk) && qk[i] == k; i++ {
+			if e := qe[i]; int(e) < len(p.marks) && p.marks[e] {
 				inter++
-				i++
-				j++
-			case a < b:
-				sx += md[a]
-				i++
-			default:
-				sy += md[b]
-				j++
+				si += md[e]
+			} else {
+				sq += md[e]
 			}
 		}
-		for ; i < len(xk) && xk[i] == k; i++ {
-			sx += md[xe[i]]
-		}
-		for ; j < len(yk) && yk[j] == k; j++ {
-			sy += md[ye[j]]
-		}
-		t := float64(inter) + min(sx, sy)
+		t := float64(inter) + min(pk.md-si, sq)
 		s.wkeys, s.wterms = append(s.wkeys, k), append(s.wterms, t)
 		w += t
 	}
@@ -476,11 +473,13 @@ func (c *Context) Verify(x, y []elem.ID, kind Kind, st *Stats) bool {
 // whole-bigraph matching — the naive method the paper's Figure 11
 // compares against.
 //
-// The rungs run cheapest first — key count, Lemma 4 by merge walk, and
+// The rungs run cheapest first — key count, Lemma 4 by table walk, and
 // only then the group structure with its count, Lemma 4 (when the walk
 // could not run or could not tell), and the matching rungs. Candidates
 // failing count pruning, where the bulk of filter-generated candidates
-// die, are rejected without building anything.
+// die, are rejected without building anything. The first two rungs are
+// symmetric and walk one side against the other's key tables: the armed
+// probe's (Arm), else x's, loaded for this pair.
 //
 // Sums of the same terms in another order, or cut short by a looser
 // bound, agree with the eager ladder's only up to rounding, so an early
@@ -492,7 +491,17 @@ func (c *Context) VerifyPrepared(x, y *Prepared, kind Kind, st *Stats) bool {
 	st.Pairs++
 	s := c.scratch()
 	need, needCeil := s.pairNeed(c, len(x.Elems), len(y.Elems))
-	if x.Keys != nil && y.Keys != nil && !countReaches(x.Keys, y.Keys, needCeil) {
+	keyed, q := x.Keys != nil && y.Keys != nil, y
+	if keyed {
+		switch s.probe.of {
+		case x:
+		case y:
+			q = x
+		default:
+			s.probe.load(c.Space.MaxDiffSims(), x) // for this pair only
+		}
+	}
+	if keyed && !s.probe.countReaches(q.Keys, needCeil) {
 		st.CountPruned++
 		return false
 	}
@@ -503,7 +512,7 @@ func (c *Context) VerifyPrepared(x, y *Prepared, kind Kind, st *Stats) bool {
 	// weighted: Lemma 4 is still to be decided over the groups.
 	weighted, walked := kind != Basic, false
 	if weighted && x.ByKey != nil && y.ByKey != nil {
-		w := c.weightedBound(s, x, y, floor)
+		w := c.weightedBound(s, q, floor)
 		if w < floor {
 			st.WeightedPruned++
 			return false
@@ -575,19 +584,7 @@ func (c *Context) VerifyPrepared(x, y *Prepared, kind Kind, st *Stats) bool {
 	var ok bool
 	switch kind {
 	case SubGraph:
-		total := 0.0
-		for _, g := range gs {
-			if len(g.xe) == 0 || len(g.ye) == 0 {
-				continue
-			}
-			s.edges = c.appendEdges(s, s.edges[:0], g.xe, g.ye)
-			if len(s.edges) == 0 {
-				continue
-			}
-			st.MatchingCalls++
-			total += s.solver.MaxWeight(len(g.xe), len(g.ye), s.edges)
-		}
-		ok = mathx.GE(total, need)
+		ok = mathx.GE(c.groupsOverlap(gs, &st.MatchingCalls), need)
 	default: // Adaptive
 		ok = c.adaptive(s, gs, loose, need, floor, st)
 	}
@@ -674,7 +671,7 @@ func (c *Context) adaptive(s *Scratch, gs []group, loose []float64, need, floor 
 		}
 		rest -= loose[gi]
 		start := len(s.edges)
-		s.edges = c.appendEdges(s, s.edges, g.xe, g.ye)
+		s.edges = c.appendEdges(s.edges, g.xe, g.ye)
 		if len(s.edges) == start {
 			continue
 		}
