@@ -163,13 +163,15 @@ bench-smoke:
 # the probe kernel at zero per batch), the ladder-laziness test (a pair
 # the upper bound rejects pays for no lower bound), the sketch gate's hit
 # rate (a hash or layout change that blunts it fails nothing else), the
-# O(1) path-code similarity against Resolver.Sim bit for bit, and the
-# armed probe tables never read stale,
+# O(1) path-code similarity and rung 2b's column maximum against
+# Resolver.Sim bit for bit, the armed probe tables and their cached
+# column maxima never read stale, and the bound chain with rung 2b's link
+# (Lemma 4 ≥ column ≥ B^u) and its boundary decisions against the seed,
 # plus one iteration of each hot benchmark to catch bit-rot in the bench
 # code itself. MixedAddQuery covers the segmented engine's concurrent
 # add/query path.
 perf-smoke:
-	$(GO) test ./internal/verify/ ./internal/core/ ./internal/hierarchy/ -run 'ZeroAlloc|LadderLazy|SketchGatePrecision|PathSimBitIdentical|ArmedTablesNeverStale|PathCodeLCA' -count=1
+	$(GO) test ./internal/verify/ ./internal/core/ ./internal/hierarchy/ -run 'ZeroAlloc|LadderLazy|SketchGatePrecision|PathSimBitIdentical|ArmedTablesNeverStale|PathCodeLCA|BoundChain|WeightedBoundMatchesGroups' -count=1
 	$(GO) test -bench 'SelfJoinPOI|Similarity|MixedAddQuery' -benchtime=1x -benchmem -run='^$$' .
 	$(GO) test -bench . -benchtime=1x -benchmem -run='^$$' ./internal/verify/ ./internal/sig/
 
@@ -178,11 +180,12 @@ perf-smoke:
 # differential bit-identity suite against the single-structure path,
 # the merge-policy/confluence units, the snapshot-v3 layout round-trip,
 # and the WAL seal-record recovery layout test — plus the verifier's
-# per-worker clones and probe tables, which the engine's pooled query
-# kernels arm concurrently.
+# per-worker clones and probe tables (their rung 2b column cache, its
+# bound chain and boundary decisions included), which the engine's
+# pooled query kernels arm concurrently.
 segment-smoke:
 	$(GO) test -race -count=1 \
 		-run 'TestSegmented|TestSnapshotV3|TestMerge|TestIndexer|TestParallelJoinBitIdentical' \
 		./internal/core/
-	$(GO) test -race -count=1 -run 'TestPathSimBitIdentical|TestArmedTablesNeverStale|TestScratchCloneIsolation' ./internal/verify/
+	$(GO) test -race -count=1 -run 'TestPathSimBitIdentical|TestArmedTablesNeverStale|TestScratchCloneIsolation|TestBoundChain|TestWeightedBoundMatchesGroups' ./internal/verify/
 	$(GO) test -race -count=1 -run 'TestRecoverySegmentLayoutFromSealRecords' ./internal/server/

@@ -710,7 +710,7 @@ func NaiveSelfJoin(h *hierarchy.Hierarchy, objects [][]string, opt Options) ([]P
 	for x := 1; x < len(objs); x++ {
 		for y := 0; y < x; y++ {
 			s := j.ctx.Similarity(objs[x].Elems, objs[y].Elems)
-			if s >= opt.Tau-1e-9 {
+			if mathx.GE(s, opt.Tau) {
 				out = append(out, Pair{X: y, Y: x, Sim: s})
 			}
 		}

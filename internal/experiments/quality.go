@@ -7,6 +7,7 @@ import (
 	"kjoin/internal/core"
 	"kjoin/internal/dataset"
 	"kjoin/internal/eval"
+	"kjoin/internal/mathx"
 )
 
 // scored is a result pair with its similarity, so one low-τ run can be
@@ -70,7 +71,7 @@ func runQualitySystem(sys string, l *dataset.Labeled, delta, tau float64, worker
 func measureAt(pairs []scored, tau float64, truth map[[2]int]bool) eval.Quality {
 	var keys [][2]int
 	for _, p := range pairs {
-		if p.sim >= tau-1e-9 {
+		if mathx.GE(p.sim, tau) {
 			keys = append(keys, [2]int{p.x, p.y})
 		}
 	}

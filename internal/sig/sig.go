@@ -19,6 +19,7 @@ import (
 
 	"kjoin/internal/elem"
 	"kjoin/internal/hierarchy"
+	"kjoin/internal/mathx"
 )
 
 // Sig identifies a signature within a Space.
@@ -706,7 +707,7 @@ func WeightedPrefixS(entries []Entry, minOverlap float64, ps *PrefixScratch) int
 			ps.seen[en.Elem] = ps.stamp
 			ps.best[en.Elem] = en.W
 		}
-		if msim >= minOverlap-1e-9 {
+		if mathx.GE(msim, minOverlap) {
 			return i + 1
 		}
 	}

@@ -47,7 +47,7 @@ func countBound(xk, yk []sig.Sig) int {
 // keys and qk walked. One set of tables serves every call, so each load
 // must also retire the last one's keys.
 func reaches(pt *probeTables, pk, qk []sig.Sig, need int) bool {
-	pt.load(nil, &Prepared{Keys: pk})
+	pt.load(nil, nil, &Prepared{Keys: pk})
 	return pt.countReaches(qk, need)
 }
 

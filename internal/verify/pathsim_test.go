@@ -8,6 +8,7 @@ import (
 	"kjoin/internal/dataset"
 	"kjoin/internal/elem"
 	"kjoin/internal/hierarchy"
+	"kjoin/internal/mathx"
 	"kjoin/internal/sig"
 	"kjoin/internal/synonym"
 )
@@ -22,7 +23,9 @@ import (
 //     elements fall back, a synonym of a node name is that node),
 //
 // each with non-entity tokens and the root's name, a depth-0 element,
-// among the elements.
+// among the elements. So does rung 2b's column maximum (colMax) of
+// every element against a one-element probe run, at two δ in turn on
+// one Scratch, against the edge appendEdges keeps.
 func TestPathSimBitIdentical(t *testing.T) {
 	table2 := dataset.GenHierarchy(dataset.DefaultHierarchy()).H
 	var sample []string // a spread of nodes, plus the children of some
@@ -102,6 +105,26 @@ func TestPathSimBitIdentical(t *testing.T) {
 			}
 			if coded < 10000 || fallback < 1000 {
 				t.Fatalf("%s %v: %d coded and %d fallback pairs", tc.name, metric, coded, fallback)
+			}
+			for _, delta := range []float64{0.5, 0.8, 0.5} {
+				ctx.Delta = delta
+				pt := &ctx.scratch().probe
+				for b := elem.ID(0); int(b) < res.Len(); b++ {
+					pt.load(sp.MaxDiffSims(), codes, &Prepared{Keys: []sig.Sig{0}, ByKey: []elem.ID{b}})
+					for a := elem.ID(0); int(a) < res.Len(); a++ {
+						if a == b {
+							continue
+						}
+						want := res.Sim(a, b, metric)
+						if !mathx.GE(want, delta) {
+							want = 0
+						}
+						if got := pt.colMax(ctx, codes, a, pt.key(0)); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s %v δ=%v: colMax(%q) against %q = %v, want %v", tc.name, metric, delta,
+								res.Info(a).Token, res.Info(b).Token, got, want)
+						}
+					}
+				}
 			}
 			if root := res.ID(tc.h.Name(tc.h.Root())); codes[root] != 0 {
 				t.Fatalf("%s: the root element's slot is %x, want code 0 at depth 0", tc.name, codes[root])

@@ -7,12 +7,13 @@
 // whole table in O(1) — no clearing, no rehashing — and a slot is live
 // only when its stamp equals the current epoch, which reproduces map
 // "missing key reads as zero" semantics exactly. The probe tables, which
-// outlive a pair, are cleared slot by slot per load instead. Similarities
-// are not cached: path codes give most in O(1) (Context.sim), and the
-// rest gained nothing from the cache that used to sit before Res.Sim.
+// outlive a pair, are cleared slot by slot per load instead. Path codes
+// give similarities in O(1) (Context.sim); the only ones cached are each
+// candidate element's best edge to the armed probe (probeTables.colMax).
 package verify
 
 import (
+	"math/bits"
 	"sort"
 
 	"kjoin/internal/elem"
@@ -81,18 +82,21 @@ func (t *elemTable) incr(e elem.ID, ep uint64) int32 {
 	return t.val[e]
 }
 
-// probeTables is a probe's side of Lemmas 3 and 4: per group key its
-// count and Σ MaxDiffSim, reached through a dense slot index, and a mark
-// per element. Both dense columns grow only to the probe's own largest
-// key and element id, and the next load clears just the slots this one
-// set, so they stay small and read nothing another goroutine grows.
+// probeTables is a probe's side of Lemmas 3 and 4 and rung 2b: per group
+// key its count and Σ MaxDiffSim, via a dense slot index, a mark and a
+// path code per element, and each candidate element's column maximum.
+// The dense columns grow only to the ids they meet, never read what
+// another goroutine grows, and the next load clears just the slots set.
 type probeTables struct {
 	of     *Prepared  // the armed probe (Context.Arm), if any
 	slot   []int32    // slot[k]: 1 + k's index in keys; 0: not a probe key
 	keys   []probeKey // the probe's distinct keys
 	n      int        // len(Keys) of the probe
 	marks  []bool     // marks[e]: e is a probe element
-	marked []elem.ID  // the marks set
+	marked []elem.ID  // the marks set: the probe's ByKey
+	codes  []uint64   // codes[i]: the path code of marked[i], or NoPath
+	col    []float64  // col[e]: colMax of e under this probe; < 0: not yet
+	cols   []elem.ID  // the col slots set
 }
 
 type probeKey struct {
@@ -103,8 +107,8 @@ type probeKey struct {
 
 // load fills the tables from p, and from p's key-ordered column (a set of
 // single-key elements: a mark per element is all Lemma 4 needs of them)
-// the weights and marks. It disarms.
-func (t *probeTables) load(md []float64, p *Prepared) {
+// the weights, marks and path codes. It disarms.
+func (t *probeTables) load(md []float64, codes []uint64, p *Prepared) {
 	t.of = nil
 	for _, pk := range t.keys {
 		t.slot[pk.key] = 0
@@ -112,7 +116,14 @@ func (t *probeTables) load(md []float64, p *Prepared) {
 	for _, e := range t.marked {
 		t.marks[e] = false
 	}
+	for _, e := range t.cols {
+		t.col[e] = -1
+	}
 	t.keys, t.n, t.marked = t.keys[:0], len(p.Keys), append(t.marked[:0], p.ByKey...)
+	t.cols, t.codes = t.cols[:0], t.codes[:0]
+	for _, e := range p.ByKey {
+		t.codes = append(t.codes, pathCode(codes, e))
+	}
 	if n := len(p.Keys); n > 0 && int(p.Keys[n-1]) >= len(t.slot) {
 		t.slot = append(t.slot, make([]int32, int(p.Keys[n-1])+1-len(t.slot))...)
 	}
@@ -141,6 +152,42 @@ func (t *probeTables) key(k sig.Sig) *probeKey {
 		return &t.keys[t.slot[k]-1]
 	}
 	return nil
+}
+
+// holds reports whether e is an element of the probe.
+func (t *probeTables) holds(e elem.ID) bool {
+	return int(e) < len(t.marks) && t.marks[e]
+}
+
+// colMax is e's largest δ-thresholded similarity (appendEdges's edge
+// weight, 0 for none) to the probe's elements under pk, e's one key: the
+// largest similarity thresholded, computed on e's first visit per load.
+func (t *probeTables) colMax(c *Context, codes []uint64, e elem.ID, pk *probeKey) float64 {
+	for len(t.col) <= int(e) {
+		t.col = append(t.col, -1)
+	}
+	if v := t.col[e]; v >= 0 {
+		return v
+	}
+	ce, m, sims := pathCode(codes, e), 0.0, &pathSims[c.metricIndex()]
+	for i := pk.end - pk.cnt; i < pk.end; i++ {
+		w, cp := 0.0, t.codes[i]
+		if ce == sig.NoPath || cp == sig.NoPath {
+			w = c.sim(codes, e, t.marked[i])
+		} else {
+			da, db := ce&0xff, cp&0xff
+			w = sims[min(uint64(bits.LeadingZeros64(ce^cp)/8), da, db)][da][db]
+		}
+		if w > m {
+			m = w
+		}
+	}
+	if !mathx.GE(m, c.Delta) {
+		m = 0
+	}
+	t.col[e] = m
+	t.cols = append(t.cols, e)
+	return m
 }
 
 // gb is one active group of the adaptive verifier: its index into the
@@ -199,10 +246,10 @@ type Scratch struct {
 
 	// loose is the ladder's per-group upper bound of the current pair,
 	// parallel to the group list: a group's count, then its Lemma 4 term
-	// once that is known. wkeys/wterms are the pair's shared keys and
-	// their Lemma 4 terms as the table walk (weightedBound) met them.
+	// once that is known. wruns/wterms are the start of each shared key's
+	// run in the walked Keys and its Lemma 4 term (weightedBound).
 	loose  []float64
-	wkeys  []sig.Sig
+	wruns  []int32
 	wterms []float64
 
 	// Edge arena: groups hold [start, end) ranges into this flat slice
@@ -212,9 +259,10 @@ type Scratch struct {
 	// Adaptive verifier state.
 	act    gbSorter
 	solver matching.Solver
-	// lbEvals counts lower-bound evaluations (tests pin the ladder's
-	// laziness with it).
+	// lbEvals counts lower-bound evaluations and colRuns runs of rung 2b
+	// (tests pin the ladder's laziness with them).
 	lbEvals int64
+	colRuns int64
 
 	probe probeTables
 

@@ -5,13 +5,13 @@
 // §5.2 (Algorithm 3).
 //
 // The ladder is lazy and threshold-aware: the bounds form the chain
-// sketch ≥ count ≥ Lemma 4 ≥ B^u ≥ overlap ≥ B^l (the sketch rung is the
-// batch index's, see SketchBound), every rung is the cheapest one
-// not yet tried, it stops as soon as τ is decided, and a rung that reads
-// a pair group by group adds the looser bound of the groups still unread
-// and gives up when even that cannot reach the required overlap. Every
-// early exit takes the decision, and bumps the Stats counter, the eager
-// ladder would have (DESIGN §8 "ladder order").
+// sketch ≥ count ≥ Lemma 4 ≥ column ≥ B^u ≥ overlap ≥ B^l (the sketch
+// rung is the batch index's, see SketchBound; column is columnTerm),
+// every rung is the cheapest one not yet tried, it stops as soon as τ is
+// decided, and a rung that reads a pair group by group adds the looser
+// bound of the unread groups and gives up when even that cannot reach
+// the required overlap. Every early exit takes the decision, and bumps
+// the Stats counter, the eager ladder would have (DESIGN §8 "ladder order").
 package verify
 
 import (
@@ -116,7 +116,7 @@ func (c *Context) scratch() *Scratch {
 // memory can hold another object.
 func (c *Context) Arm(p *Prepared) {
 	s := c.scratch()
-	s.probe.load(c.Space.MaxDiffSims(), p)
+	s.probe.load(c.Space.MaxDiffSims(), c.Space.PathCodes(), p)
 	s.probe.of = p
 }
 
@@ -140,18 +140,27 @@ func (c *Context) sim(codes []uint64, a, b elem.ID) float64 {
 	if a == b {
 		return 1
 	}
-	if int(a) < len(codes) && int(b) < len(codes) {
-		if ca, cb := codes[a], codes[b]; ca != sig.NoPath && cb != sig.NoPath {
-			da, db := ca&0xff, cb&0xff
-			dl := min(uint64(bits.LeadingZeros64(ca^cb)/8), da, db)
-			m := 0
-			if c.Metric == elem.WuPalmer {
-				m = 1
-			}
-			return pathSims[m][dl][da][db]
-		}
+	if ca, cb := pathCode(codes, a), pathCode(codes, b); ca != sig.NoPath && cb != sig.NoPath {
+		da, db := ca&0xff, cb&0xff
+		return pathSims[c.metricIndex()][min(uint64(bits.LeadingZeros64(ca^cb)/8), da, db)][da][db]
 	}
 	return c.Res.Sim(a, b, c.Metric)
+}
+
+// metricIndex is the context's metric's index into pathSims.
+func (c *Context) metricIndex() int {
+	if c.Metric == elem.WuPalmer {
+		return 1
+	}
+	return 0
+}
+
+// pathCode is codes[e], or NoPath past the column.
+func pathCode(codes []uint64, e elem.ID) uint64 {
+	if int(e) < len(codes) {
+		return codes[e]
+	}
+	return sig.NoPath
 }
 
 // group is one node-signature group of a candidate pair: the element
@@ -419,11 +428,11 @@ func SketchBound(bx uint64, nx int, by uint64, ny int) int {
 // and p's side its key's Σ MaxDiffSim less theirs (a reordered sum:
 // VerifyPrepared's slack band absorbs the rounding). While the sum so
 // far plus one per entry still unread is below floor it returns that, an
-// upper bound of the full sum. The shared keys and their terms are left
-// in the scratch (wkeys, wterms).
+// upper bound of the full sum. The shared keys' runs and their terms are
+// left in the scratch (wruns, wterms).
 func (c *Context) weightedBound(s *Scratch, q *Prepared, floor float64) float64 {
 	md, p := c.Space.MaxDiffSims(), &s.probe
-	s.wkeys, s.wterms = s.wkeys[:0], s.wterms[:0]
+	s.wruns, s.wterms = s.wruns[:0], s.wterms[:0]
 	qk, qe := q.Keys, q.ByKey
 	w := 0.0
 	for i := 0; i < len(qk); {
@@ -437,8 +446,9 @@ func (c *Context) weightedBound(s *Scratch, q *Prepared, floor float64) float64 
 			return rest
 		}
 		inter, si, sq := 0, 0.0, 0.0
+		s.wruns = append(s.wruns, int32(i))
 		for ; i < len(qk) && qk[i] == k; i++ {
-			if e := qe[i]; int(e) < len(p.marks) && p.marks[e] {
+			if e := qe[i]; p.holds(e) {
 				inter++
 				si += md[e]
 			} else {
@@ -446,10 +456,47 @@ func (c *Context) weightedBound(s *Scratch, q *Prepared, floor float64) float64 
 			}
 		}
 		t := float64(inter) + min(pk.md-si, sq)
-		s.wkeys, s.wterms = append(s.wkeys, k), append(s.wterms, t)
+		s.wterms = append(s.wterms, t)
 		w += t
 	}
 	return w
+}
+
+// columnTerm is rung 2b's term for q's run, from q.Keys[i], of a key k
+// the loaded probe holds: |∩| + min(md_probe[k] − Σmd(∩), Σ colMax over
+// the rest), with Lemma 4's probe side (≥ the group's row maxima) and the
+// group's Σ column maxima (≤ Lemma 4's): Lemma 4 term ≥ it ≥ B^u.
+func (c *Context) columnTerm(s *Scratch, q *Prepared, i int) float64 {
+	p, md, pk := &s.probe, c.Space.MaxDiffSims(), s.probe.key(q.Keys[i])
+	qk, qe := q.Keys, q.ByKey
+	inter, si, col, codes := 0, 0.0, 0.0, c.Space.PathCodes()
+	for j := i; j < len(qk) && qk[j] == qk[i]; j++ {
+		if e := qe[j]; p.holds(e) {
+			inter++
+			si += md[e]
+		} else {
+			col += p.colMax(c, codes, e, pk)
+		}
+	}
+	return float64(inter) + min(pk.md-si, col)
+}
+
+// columnRejects is rung 2b: whether Σ columnTerm over the walk's shared
+// keys is below floor. It stops once the sum reaches floor, or once the
+// sum plus the unread keys' Lemma 4 terms (wterms) is below it.
+func (c *Context) columnRejects(s *Scratch, q *Prepared, floor float64) bool {
+	s.colRuns++
+	b, rest := 0.0, sum(s.wterms)
+	for j, i := range s.wruns {
+		b, rest = b+c.columnTerm(s, q, int(i)), rest-s.wterms[j]
+		if b >= floor {
+			return false
+		}
+		if b+rest < floor {
+			return true
+		}
+	}
+	return b < floor
 }
 
 // VerifyKeyed is VerifyPrepared for callers that hold only the sorted
@@ -473,13 +520,13 @@ func (c *Context) Verify(x, y []elem.ID, kind Kind, st *Stats) bool {
 // whole-bigraph matching — the naive method the paper's Figure 11
 // compares against.
 //
-// The rungs run cheapest first — key count, Lemma 4 by table walk, and
-// only then the group structure with its count, Lemma 4 (when the walk
-// could not run or could not tell), and the matching rungs. Candidates
-// failing count pruning, where the bulk of filter-generated candidates
-// die, are rejected without building anything. The first two rungs are
-// symmetric and walk one side against the other's key tables: the armed
-// probe's (Arm), else x's, loaded for this pair.
+// The rungs run cheapest first — key count, Lemma 4 by table walk, for
+// Adaptive rung 2b, and only then the group structure with its count,
+// Lemma 4 (when the walk could not run or could not tell), and the
+// matching rungs. Candidates failing count pruning, where the bulk of
+// filter-generated candidates die, are rejected without building
+// anything. The rungs before the groups walk one side against the
+// other's tables: the armed probe's (Arm), else x's, loaded for this pair.
 //
 // Sums of the same terms in another order, or cut short by a looser
 // bound, agree with the eager ladder's only up to rounding, so an early
@@ -498,7 +545,7 @@ func (c *Context) VerifyPrepared(x, y *Prepared, kind Kind, st *Stats) bool {
 		case y:
 			q = x
 		default:
-			s.probe.load(c.Space.MaxDiffSims(), x) // for this pair only
+			s.probe.load(c.Space.MaxDiffSims(), c.Space.PathCodes(), x) // for this pair only
 		}
 	}
 	if keyed && !s.probe.countReaches(q.Keys, needCeil) {
@@ -518,6 +565,11 @@ func (c *Context) VerifyPrepared(x, y *Prepared, kind Kind, st *Stats) bool {
 			return false
 		}
 		weighted, walked = w < need-mathx.Eps+slack, true
+		// Rung 2b: ΣB^u ≤ the column sum < floor, so adaptive UB-rejects.
+		if kind == Adaptive && !weighted && c.columnRejects(s, q, floor) {
+			st.UBRejected++
+			return false
+		}
 	}
 
 	gs := c.groups(x.Elems, y.Elems)
@@ -551,8 +603,8 @@ func (c *Context) VerifyPrepared(x, y *Prepared, kind Kind, st *Stats) bool {
 		// The walk's terms tighten their groups' bounds: without multi-key
 		// elements a group's root is its one key, and the group index of
 		// groups() (whose epoch is still current) finds it.
-		for i, k := range s.wkeys {
-			gi, _ := s.gidx.lookup(k, s.epoch)
+		for i, r := range s.wruns {
+			gi, _ := s.gidx.lookup(q.Keys[r], s.epoch)
 			loose[gi] = s.wterms[i]
 		}
 	}
