@@ -161,19 +161,23 @@ bench-smoke:
 # perf-smoke is the CI-sized performance gate: the allocation-regression
 # tests (steady-state verification must stay at zero allocs per pair,
 # the probe kernel at zero per batch), the ladder-laziness test (a pair
-# the upper bound rejects pays for no lower bound), the sketch gate's hit
-# rate (a hash or layout change that blunts it fails nothing else), the
-# O(1) path-code similarity and rung 2b's column maximum against
-# Resolver.Sim bit for bit, the armed probe tables and their cached
-# column maxima never read stale, and the bound chain with rung 2b's link
-# (Lemma 4 ≥ column ≥ B^u) and its boundary decisions against the seed,
-# plus one iteration of each hot benchmark to catch bit-rot in the bench
-# code itself. MixedAddQuery covers the segmented engine's concurrent
-# add/query path.
+# ΣB^u rejects pays for no solve, an accepted pair for one exact solve
+# per group and nothing else), the score a join takes from the ladder against Similarity bit
+# for bit, the greedy lower bounds against their O(n⁴) originals bit for
+# bit, the sketch gate's hit rate (a hash or layout change that blunts it
+# fails nothing else), the O(1) path-code similarity and rung 2b's column
+# maximum against Resolver.Sim bit for bit, the armed probe tables and
+# their cached column maxima never read stale, and the bound chain with
+# rung 2b's link (Lemma 4 ≥ column ≥ B^u) and its boundary decisions
+# against the seed, plus one iteration of each hot benchmark to catch
+# bit-rot in the bench code itself — the exact-solve-against-greedy
+# group benchmark among them. MixedAddQuery covers
+# the segmented engine's concurrent add/query path.
 perf-smoke:
-	$(GO) test ./internal/verify/ ./internal/core/ ./internal/hierarchy/ -run 'ZeroAlloc|LadderLazy|SketchGatePrecision|PathSimBitIdentical|ArmedTablesNeverStale|PathCodeLCA|BoundChain|WeightedBoundMatchesGroups' -count=1
+	$(GO) test . ./internal/verify/ ./internal/core/ ./internal/hierarchy/ ./internal/matching/ -run 'ZeroAlloc|LadderLazy|ScoreBitIdentical|GreedyMatchesOracle|SketchGatePrecision|PathSimBitIdentical|ArmedTablesNeverStale|PathCodeLCA|BoundChain|WeightedBoundMatchesGroups' -count=1
 	$(GO) test -bench 'SelfJoinPOI|Similarity|MixedAddQuery' -benchtime=1x -benchmem -run='^$$' .
 	$(GO) test -bench . -benchtime=1x -benchmem -run='^$$' ./internal/verify/ ./internal/sig/
+	$(GO) test -bench GroupSolve -benchtime=1x -run='^$$' ./internal/matching/
 
 # segment-smoke runs the segmented-engine proofs under the race
 # detector: the concurrent Add/Seal/Merge/RunQuery stress, the
@@ -182,10 +186,13 @@ perf-smoke:
 # and the WAL seal-record recovery layout test — plus the verifier's
 # per-worker clones and probe tables (their rung 2b column cache, its
 # bound chain and boundary decisions included), which the engine's
-# pooled query kernels arm concurrently.
+# pooled query kernels arm concurrently — and the score each kernel's
+# verifier holds for the pair it accepted, read back by that kernel
+# alone.
 segment-smoke:
 	$(GO) test -race -count=1 \
 		-run 'TestSegmented|TestSnapshotV3|TestMerge|TestIndexer|TestParallelJoinBitIdentical' \
 		./internal/core/
-	$(GO) test -race -count=1 -run 'TestPathSimBitIdentical|TestArmedTablesNeverStale|TestScratchCloneIsolation|TestBoundChain|TestWeightedBoundMatchesGroups' ./internal/verify/
+	$(GO) test -race -count=1 -run 'TestPathSimBitIdentical|TestArmedTablesNeverStale|TestScratchCloneIsolation|TestBoundChain|TestWeightedBoundMatchesGroups|TestScoreBitIdentical' ./internal/verify/
+	$(GO) test -race -count=1 -run 'TestScoreBitIdentical' .
 	$(GO) test -race -count=1 -run 'TestRecoverySegmentLayoutFromSealRecords' ./internal/server/

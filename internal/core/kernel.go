@@ -290,7 +290,7 @@ func (k *kernel) run(ctx context.Context, px *prepped, src objSource, input []in
 			if k.vctx.VerifyPrepared(&a.Prepared, &b.Prepared, k.verifier, &k.vst) {
 				h := hit{id: y}
 				if k.computeSims {
-					h.sim = k.vctx.Similarity(a.Elems, b.Elems)
+					h.sim = k.vctx.Score(&a.Prepared, &b.Prepared)
 				}
 				k.hits = append(k.hits, h)
 			}

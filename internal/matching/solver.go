@@ -1,7 +1,8 @@
 package matching
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"kjoin/internal/mathx"
 )
@@ -25,11 +26,13 @@ type Solver struct {
 	used []bool
 
 	// Greedy / bound workspace.
-	es       edgeSorter // sorted copy of the edges for GreedyMaxWeight
-	busyX    []bool     // matched left vertices (GreedyMaxWeight)
-	busyY    []bool     // matched right vertices
-	adjOff   []int32    // CSR offsets per left vertex (GreedyMinDegree)
-	adjEdges []Edge     // CSR edge storage, input order within a vertex
+	es       []Edge  // sorted copy of the edges for GreedyMaxWeight
+	busyX    []bool  // matched left vertices (GreedyMaxWeight)
+	busyY    []bool  // matched right vertices
+	adjOff   []int32 // CSR offsets per left vertex (GreedyMinDegree)
+	adjEdges []Edge  // CSR edge storage, input order within a vertex
+	revOff   []int32 // CSR offsets per right vertex
+	revX     []int32 // left endpoints per right vertex, input order
 	degX     []int32
 	degY     []int32
 	goneX    []bool
@@ -202,29 +205,18 @@ func (s *Solver) solve(nx, ny int, edges []Edge) int {
 	return n
 }
 
-// edgeLess is the deterministic greedy edge order of §5.2.2: heaviest
+// edgeCmp is the deterministic greedy edge order of §5.2.2: heaviest
 // first, ties broken on (X, Y). (X, Y) pairs are unique within one
 // bigraph, so the order is total and any sort yields one permutation.
-func edgeLess(a, b Edge) bool {
-	if c := mathx.Cmp(a.W, b.W); c != 0 {
-		return c > 0
+func edgeCmp(a, b Edge) int {
+	if c := mathx.Cmp(b.W, a.W); c != 0 {
+		return c
 	}
 	if a.X != b.X {
-		return a.X < b.X
+		return cmp.Compare(a.X, b.X)
 	}
-	return a.Y < b.Y
+	return cmp.Compare(a.Y, b.Y)
 }
-
-// edgeSorter sorts a held edge slice with edgeLess via sort.Sort. It is
-// embedded in Solver (and addressed through the Solver pointer) so the
-// sort.Interface conversion does not allocate.
-type edgeSorter struct {
-	es []Edge
-}
-
-func (s *edgeSorter) Len() int           { return len(s.es) }
-func (s *edgeSorter) Less(i, j int) bool { return edgeLess(s.es[i], s.es[j]) }
-func (s *edgeSorter) Swap(i, j int)      { s.es[i], s.es[j] = s.es[j], s.es[i] }
 
 // GreedyMaxWeight is the allocation-free form of the package-level
 // GreedyMaxWeight (lower bound l_w of §5.2.2).
@@ -232,8 +224,8 @@ func (s *Solver) GreedyMaxWeight(edges []Edge) float64 {
 	if len(edges) == 0 {
 		return 0
 	}
-	s.es.es = append(s.es.es[:0], edges...)
-	sort.Sort(&s.es)
+	s.es = append(s.es[:0], edges...)
+	slices.SortFunc(s.es, edgeCmp)
 	mx, my := 0, 0
 	for _, e := range edges {
 		if e.X >= mx {
@@ -245,14 +237,10 @@ func (s *Solver) GreedyMaxWeight(edges []Edge) float64 {
 	}
 	s.busyX = growBools(s.busyX, mx)
 	s.busyY = growBools(s.busyY, my)
-	for i := 0; i < mx; i++ {
-		s.busyX[i] = false
-	}
-	for i := 0; i < my; i++ {
-		s.busyY[i] = false
-	}
+	clear(s.busyX)
+	clear(s.busyY)
 	total := 0.0
-	for _, e := range s.es.es {
+	for _, e := range s.es {
 		if s.busyX[e.X] || s.busyY[e.Y] {
 			continue
 		}
@@ -264,46 +252,45 @@ func (s *Solver) GreedyMaxWeight(edges []Edge) float64 {
 }
 
 // GreedyMinDegree is the allocation-free form of the package-level
-// GreedyMinDegree (lower bound l_e of §5.2.2). The adjacency lists are
-// stored in CSR form; within one left vertex the edges keep their input
-// order, so the result is identical to the slice-of-slices original.
+// GreedyMinDegree (lower bound l_e of §5.2.2). The adjacency is stored in
+// CSR form both ways — left vertex → its edges in input order, right
+// vertex → its left endpoints — so a pick decrements only the degrees of
+// the removed pair's live neighbours: O(nx + deg) per pick, with the
+// degrees, picks and sum of the original that recounted them all.
 func (s *Solver) GreedyMinDegree(nx, ny int, edges []Edge) float64 {
 	if len(edges) == 0 {
 		return 0
 	}
 	s.adjOff = growInt32s(s.adjOff, nx+1)
-	for i := 0; i <= nx; i++ {
-		s.adjOff[i] = 0
-	}
-	s.degY = growInt32s(s.degY, ny)
-	for i := 0; i < ny; i++ {
-		s.degY[i] = 0
-	}
+	s.revOff = growInt32s(s.revOff, ny+1)
+	clear(s.adjOff)
+	clear(s.revOff)
 	for _, e := range edges {
 		s.adjOff[e.X+1]++
-		s.degY[e.Y]++
+		s.revOff[e.Y+1]++
 	}
 	for i := 1; i <= nx; i++ {
 		s.adjOff[i] += s.adjOff[i-1]
 	}
-	s.adjEdges = growEdges(s.adjEdges, len(edges))
-	s.degX = growInt32s(s.degX, nx)
-	for i := 0; i < nx; i++ {
-		s.degX[i] = 0
+	for i := 1; i <= ny; i++ {
+		s.revOff[i] += s.revOff[i-1]
 	}
+	s.adjEdges = growEdges(s.adjEdges, len(edges))
+	s.revX = growInt32s(s.revX, len(edges))
+	s.degX = growInt32s(s.degX, nx)
+	s.degY = growInt32s(s.degY, ny)
+	clear(s.degX)
+	clear(s.degY)
 	for _, e := range edges {
 		s.adjEdges[s.adjOff[e.X]+s.degX[e.X]] = e
 		s.degX[e.X]++
+		s.revX[s.revOff[e.Y]+s.degY[e.Y]] = int32(e.X)
+		s.degY[e.Y]++
 	}
 	s.goneX = growBools(s.goneX, nx)
 	s.goneY = growBools(s.goneY, ny)
-	for i := 0; i < nx; i++ {
-		s.goneX[i] = false
-	}
-	for i := 0; i < ny; i++ {
-		s.goneY[i] = false
-	}
-	adj := func(x int) []Edge { return s.adjEdges[s.adjOff[x]:s.adjOff[x+1]] }
+	clear(s.goneX)
+	clear(s.goneY)
 	total := 0.0
 	for {
 		// Pick live left vertex with the smallest positive degree.
@@ -322,7 +309,9 @@ func (s *Solver) GreedyMinDegree(nx, ny int, edges []Edge) float64 {
 		}
 		// Among its live neighbours pick the one with the smallest degree;
 		// break ties on weight (heavier first) then index for determinism.
-		ax := adj(bestX)
+		// Degrees count live edges, so a live left vertex of positive
+		// degree has a live neighbour.
+		ax := s.adjEdges[s.adjOff[bestX]:s.adjOff[bestX+1]]
 		pick := -1
 		pickD := int32(1 << 30)
 		for i := range ax {
@@ -335,44 +324,20 @@ func (s *Solver) GreedyMinDegree(nx, ny int, edges []Edge) float64 {
 				pick = i
 			}
 		}
-		if pick < 0 {
-			s.goneX[bestX] = true
-			s.degX[bestX] = 0
-			continue
-		}
 		pe := ax[pick]
 		total += pe.W
 		s.goneX[bestX] = true
 		s.goneY[pe.Y] = true
-		// Update degrees of the survivors touching the removed vertices.
-		for x := 0; x < nx; x++ {
-			if s.goneX[x] {
-				continue
+		// Each survivor loses its edges to the removed vertices.
+		for _, e := range ax {
+			if !s.goneY[e.Y] {
+				s.degY[e.Y]--
 			}
-			var d int32
-			for _, e := range adj(x) {
-				if !s.goneY[e.Y] {
-					d++
-				}
-			}
-			s.degX[x] = d
 		}
-		for y := 0; y < ny; y++ {
-			if s.goneY[y] {
-				continue
+		for _, x := range s.revX[s.revOff[pe.Y]:s.revOff[pe.Y+1]] {
+			if !s.goneX[x] {
+				s.degX[x]--
 			}
-			var d int32
-			for x := 0; x < nx; x++ {
-				if s.goneX[x] {
-					continue
-				}
-				for _, e := range adj(x) {
-					if e.Y == y {
-						d++
-					}
-				}
-			}
-			s.degY[y] = d
 		}
 	}
 	return total

@@ -110,7 +110,8 @@ func seedVerifyKeyed(c *Context, x, y []elem.ID, kind Kind, st *Stats) bool {
 // placed so that the required overlap sits on, just under and just over
 // that sum — and, for pairs of sets, on, under and over rung 2b's sum
 // with either side as the probe — the ladder's decision and counters are
-// the seed's whether x, y or neither is the armed probe.
+// the seed's (booksLikeSeed, solvesCoverSeed) whether x, y or neither is
+// the armed probe.
 func TestWeightedBoundMatchesGroups(t *testing.T) {
 	ctx, _, _ := diffCtx(t, 300, 0.8, 0.5, elem.Standard, setmetric.Jaccard, false)
 	oracle := &Context{Res: ctx.Res, Space: ctx.Space, Metric: ctx.Metric, Set: ctx.Set, Delta: ctx.Delta}
@@ -147,6 +148,7 @@ func TestWeightedBoundMatchesGroups(t *testing.T) {
 	}
 	decided, early, walked, multisets := 0, 0, 0, 0
 	rejects, passes := 0, 0
+	var gotAll, wantAll Stats
 	for trial := 0; trial < 3000; trial++ {
 		x, y := object(), object()
 		px, py := ctx.Prepare(x, nil, nil), ctx.Prepare(y, nil, nil)
@@ -221,10 +223,12 @@ func TestWeightedBoundMatchesGroups(t *testing.T) {
 					default:
 						passes++
 					}
-					if g != w || got != want {
+					if g != w || !booksLikeSeed(kind, got, want) {
 						t.Fatalf("trial %d τ=%v (need≈%v, Lemma 4 sum %v) %v, probe %v: got %v %+v, seed %v %+v",
 							trial, tau, target, ref, kind, probe, g, got, w, want)
 					}
+					gotAll.Add(got)
+					wantAll.Add(want)
 					decided++
 				}
 			}
@@ -237,6 +241,7 @@ func TestWeightedBoundMatchesGroups(t *testing.T) {
 	if rejects < 500 || passes < 500 {
 		t.Fatalf("rung 2b rejected %d pairs and passed %d", rejects, passes)
 	}
+	solvesCoverSeed(t, gotAll, wantAll)
 }
 
 // TestBoundChain walks the ladder's chain from its head, sketch ≥ count

@@ -14,7 +14,6 @@ package verify
 
 import (
 	"math/bits"
-	"sort"
 
 	"kjoin/internal/elem"
 	"kjoin/internal/matching"
@@ -191,28 +190,12 @@ func (t *probeTables) colMax(c *Context, codes []uint64, e elem.ID, pk *probeKey
 }
 
 // gb is one active group of the adaptive verifier: its index into the
-// group list, its edge range in the scratch edge arena, and its bounds.
+// group list, its edge range in the scratch edge arena, and its B^u.
 type gb struct {
 	gi         int32
 	start, end int32
-	lo, up     float64
+	up         float64
 }
-
-// gbSorter orders active groups loosest-first (§5.2.3: largest B^u − B^l
-// gap). Addressed through the Scratch pointer so sort.Sort's interface
-// conversion does not allocate.
-type gbSorter struct {
-	act []gb
-}
-
-func (s *gbSorter) Len() int           { return len(s.act) }
-func (s *gbSorter) Less(i, j int) bool { return s.act[i].up-s.act[i].lo > s.act[j].up-s.act[j].lo }
-func (s *gbSorter) Swap(i, j int)      { s.act[i], s.act[j] = s.act[j], s.act[i] }
-
-// sortGBs sorts the active groups in place. The sorter is addressed
-// through a pointer that already lives on the heap (inside Scratch), so
-// this performs no interface-conversion allocation.
-func sortGBs(s *gbSorter) { sort.Sort(s) }
 
 // Scratch is the per-worker workspace of the verification hot path.
 // All buffers grow monotonically toward the workload's steady-state
@@ -257,12 +240,18 @@ type Scratch struct {
 	edges []matching.Edge
 
 	// Adaptive verifier state.
-	act    gbSorter
+	act    []gb
 	solver matching.Solver
-	// lbEvals counts lower-bound evaluations and colRuns runs of rung 2b
-	// (tests pin the ladder's laziness with them).
-	lbEvals int64
+	// colRuns counts runs of rung 2b (tests pin the ladder's laziness
+	// with it).
 	colRuns int64
+
+	// held is the exact overlap of the pair (x, y) the last
+	// VerifyPrepared accepted, for Context.Score; x == nil: none.
+	held struct {
+		x, y    *Prepared
+		overlap float64
+	}
 
 	probe probeTables
 

@@ -6,12 +6,14 @@
 //
 // The ladder is lazy and threshold-aware: the bounds form the chain
 // sketch ≥ count ≥ Lemma 4 ≥ column ≥ B^u ≥ overlap ≥ B^l (the sketch
-// rung is the batch index's, see SketchBound; column is columnTerm),
-// every rung is the cheapest one not yet tried, it stops as soon as τ is
-// decided, and a rung that reads a pair group by group adds the looser
-// bound of the unread groups and gives up when even that cannot reach
-// the required overlap. Every early exit takes the decision, and bumps
-// the Stats counter, the eager ladder would have (DESIGN §8 "ladder order").
+// rung is the batch index's, see SketchBound; column is columnTerm; a
+// group's B^l is its overlap, one Hungarian solve), every rung is the
+// cheapest one not yet tried, it stops as soon as τ is decided, and a
+// rung that reads a pair group by group adds the looser bound of the
+// unread groups and gives up when even that cannot reach the required
+// overlap. Every early exit takes the decision, and bumps the Stats
+// counter, the eager ladder would have (DESIGN §8 "ladder order"). A pair
+// SubGraph or Adaptive accepts keeps its exact overlap for Context.Score.
 package verify
 
 import (
@@ -35,9 +37,9 @@ const (
 	// SubGraph decomposes the bigraph into per-node-signature groups and
 	// solves each small matching independently (Lemma 8).
 	SubGraph
-	// Adaptive estimates per-group upper and lower bounds, accepts or
-	// rejects early, and solves groups in descending looseness order
-	// (Algorithm 3).
+	// Adaptive estimates per-group upper bounds, rejects early, and
+	// solves the groups of a pair they leave undecided (Algorithm 3 with
+	// an exact lower bound).
 	Adaptive
 )
 
@@ -62,7 +64,8 @@ type Stats struct {
 	WeightedPruned int64 // pruned by Lemma 4
 	UBRejected     int64 // adaptive: rejected via upper bound
 	LBAccepted     int64 // adaptive: accepted via lower bound
-	MatchingCalls  int64 // Hungarian invocations
+	MatchingCalls  int64 // Hungarian invocations of Basic and SubGraph
+	ExactSolves    int64 // adaptive: groups the B^l rung solved instead of bounding
 	Results        int64 // pairs that verified similar
 }
 
@@ -74,6 +77,7 @@ func (s *Stats) Add(other Stats) {
 	s.UBRejected += other.UBRejected
 	s.LBAccepted += other.LBAccepted
 	s.MatchingCalls += other.MatchingCalls
+	s.ExactSolves += other.ExactSolves
 	s.Results += other.Results
 }
 
@@ -503,13 +507,13 @@ func (c *Context) columnRejects(s *Scratch, q *Prepared, floor float64) bool {
 // key multisets (see SortedKeys): the same ladder without the
 // key-ordered columns, so Lemma 4 runs over the groups.
 func (c *Context) VerifyKeyed(x, y []elem.ID, xKeys, yKeys []sig.Sig, kind Kind, st *Stats) bool {
-	return c.VerifyPrepared(&Prepared{Elems: x, Keys: xKeys}, &Prepared{Elems: y, Keys: yKeys}, kind, st)
+	return c.verify(&Prepared{Elems: x, Keys: xKeys}, &Prepared{Elems: y, Keys: yKeys}, kind, st)
 }
 
 // Verify is VerifyPrepared on bare element lists: count pruning runs on
 // the group structure.
 func (c *Context) Verify(x, y []elem.ID, kind Kind, st *Stats) bool {
-	return c.VerifyPrepared(&Prepared{Elems: x}, &Prepared{Elems: y}, kind, st)
+	return c.verify(&Prepared{Elems: x}, &Prepared{Elems: y}, kind, st)
 }
 
 // VerifyPrepared reports whether SIMδ(x, y) ≥ τ using the given
@@ -534,9 +538,22 @@ func (c *Context) Verify(x, y []elem.ID, kind Kind, st *Stats) bool {
 // tolerance and by more than any rounding of a sum of |x|+|y| terms in
 // [0, 1] — and whatever lands in the band around the tolerance is
 // decided by the full sum in the eager ladder's order.
+//
+// A pair SubGraph or Adaptive accepts leaves its exact overlap for Score.
 func (c *Context) VerifyPrepared(x, y *Prepared, kind Kind, st *Stats) bool {
+	ok := c.verify(x, y, kind, st)
+	if ok && kind != Basic {
+		c.scr.held.x, c.scr.held.y = x, y
+	}
+	return ok
+}
+
+// verify is VerifyPrepared without keying the held overlap to x and y,
+// which would move the callers' temporaries to the heap.
+func (c *Context) verify(x, y *Prepared, kind Kind, st *Stats) bool {
 	st.Pairs++
 	s := c.scratch()
+	s.held.x, s.held.y = nil, nil
 	need, needCeil := s.pairNeed(c, len(x.Elems), len(y.Elems))
 	keyed, q := x.Keys != nil && y.Keys != nil, y
 	if keyed {
@@ -636,7 +653,8 @@ func (c *Context) VerifyPrepared(x, y *Prepared, kind Kind, st *Stats) bool {
 	var ok bool
 	switch kind {
 	case SubGraph:
-		ok = mathx.GE(c.groupsOverlap(gs, &st.MatchingCalls), need)
+		s.held.overlap = c.groupsOverlap(gs, &st.MatchingCalls)
+		ok = mathx.GE(s.held.overlap, need)
 	default: // Adaptive
 		ok = c.adaptive(s, gs, loose, need, floor, st)
 	}
@@ -644,6 +662,18 @@ func (c *Context) VerifyPrepared(x, y *Prepared, kind Kind, st *Stats) bool {
 		st.Results++
 	}
 	return ok
+}
+
+// Score returns SIMδ(x, y) for the pair the last VerifyPrepared call on
+// c accepted with SubGraph or Adaptive, from the exact overlap its ladder
+// holds, with the bits of Similarity(x.Elems, y.Elems). For any other
+// pair — another x or y, a rejected one, one Basic verified — it is
+// Similarity.
+func (c *Context) Score(x, y *Prepared) float64 {
+	if s := c.scratch(); s.held.x == x && s.held.y == y {
+		return c.Set.Sim(s.held.overlap, len(x.Elems), len(y.Elems))
+	}
+	return c.Similarity(x.Elems, y.Elems)
 }
 
 func sum(xs []float64) float64 {
@@ -701,20 +731,24 @@ func (c *Context) groupWeightedUB(s *Scratch, g group) (term float64, sets bool)
 	return float64(inter) + min(sx, sy), sets
 }
 
-// adaptive is Algorithm 3: per-group bounds with early accept/reject and
-// loosest-groups-first exact matching, the bounds computed cheapest
-// first. B^u is one pass over a group's edges; B^l is two greedy
-// matchings and a sort. Since B^l ≤ B^u the accept test ΣB^l ≥ need and
-// the reject test ΣB^u < need can never both fire, so the B^u pass runs
-// alone first — giving up as soon as the bounds read so far plus loose[i]
-// (an upper bound of B^u per group: its Lemma 4 term or its count) for
-// every group still unread cannot reach need, before those groups'
-// similarities are even fetched — and B^l is computed only for pairs it
-// leaves undecided. Group edge lists live in the scratch edge arena as
-// [start, end) ranges, so arena growth while later groups are built
-// never invalidates earlier groups.
+// adaptive is Algorithm 3 with an exact B^l: per-group bounds with early
+// accept/reject, the bounds computed cheapest first. B^u is one pass over
+// a group's edges. It runs alone first — giving up as soon as the bounds
+// read so far plus loose[i] (an upper bound of B^u per group: its Lemma 4
+// term or its count) for every group still unread cannot reach need,
+// before those groups' similarities are even fetched — and only a pair it
+// leaves undecided has its groups solved. Where the paper bounds each
+// group from below with two greedy matchings (§5.2.2) and then solves the
+// loosest groups first (§5.2.3), every active group is solved here, in
+// group order: a greedy bound saves a solve only by accepting without
+// one, and an accepted pair's score needs every solve anyway (DESIGN §8
+// "The B^l rung"). Each solve tightens ΣB^u, and the solves summed in
+// group order are groupsOverlap's sum, which an accepted pair leaves in
+// s.held for Score. Group edge lists live in the scratch edge arena as
+// [start, end) ranges, so arena growth while later groups are built never
+// invalidates earlier groups.
 func (c *Context) adaptive(s *Scratch, gs []group, loose []float64, need, floor float64, st *Stats) bool {
-	s.act.act = s.act.act[:0]
+	s.act = s.act[:0]
 	s.edges = s.edges[:0]
 	bu, rest := 0.0, sum(loose)
 	for gi, g := range gs {
@@ -728,50 +762,35 @@ func (c *Context) adaptive(s *Scratch, gs []group, loose []float64, need, floor 
 			continue
 		}
 		up := s.solver.UpperBound(len(g.xe), len(g.ye), s.edges[start:])
-		s.act.act = append(s.act.act, gb{gi: int32(gi), start: int32(start), end: int32(len(s.edges)), up: up})
+		s.act = append(s.act, gb{gi: int32(gi), start: int32(start), end: int32(len(s.edges)), up: up})
 		bu += up
 		if bu+rest < floor {
 			st.UBRejected++
 			return false
 		}
 	}
-	act := s.act.act
 	if bu < floor {
 		st.UBRejected++
 		return false
 	}
 	bl := 0.0
-	for i := range act {
-		a := &act[i]
+	for _, a := range s.act {
+		st.ExactSolves++
 		g := gs[a.gi]
-		a.lo = s.solver.LowerBound(len(g.xe), len(g.ye), s.edges[a.start:a.end])
-		s.lbEvals++
-		bl += a.lo
+		w := s.solver.MaxWeight(len(g.xe), len(g.ye), s.edges[a.start:a.end])
+		if bu += w - a.up; bu < floor {
+			st.UBRejected++
+			return false
+		}
+		bl += w
 	}
 	if mathx.GE(bl, need) {
 		st.LBAccepted++
+		s.held.overlap = bl
 		return true
 	}
 	if mathx.LT(bu, need) {
 		st.UBRejected++
-		return false
 	}
-	// Loosest groups first (§5.2.3): largest B^u − B^l gap.
-	sortGBs(&s.act)
-	for _, a := range act {
-		st.MatchingCalls++
-		g := gs[a.gi]
-		w := s.solver.MaxWeight(len(g.xe), len(g.ye), s.edges[a.start:a.end])
-		bu += w - a.up
-		if mathx.LT(bu, need) {
-			st.UBRejected++
-			return false
-		}
-		bl += w - a.lo
-		if mathx.GE(bl, need) {
-			st.LBAccepted++
-			return true
-		}
-	}
-	return mathx.GE(bl, need)
+	return false
 }

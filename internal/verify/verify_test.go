@@ -109,9 +109,14 @@ func TestWeightedCountPruningPaperS1S4(t *testing.T) {
 func TestAdaptivePaperS8S9(t *testing.T) {
 	// §5.2: δ=0.6, τ=0.6 on S8, S9. With the Figure 1 structure the
 	// group bounds are Bl = 13/6 + 8/5 = 113/30 (as in the paper) and
-	// Bu = 9/4 + 47/20. Neither bound decides, the location group has
-	// the loosest bounds and is solved first (exact 8/5), after which
-	// Bu = 9/4 + 8/5 = 77/20 < 4.5 rejects with a single matching call.
+	// Bu = 9/4 + 47/20. Neither bound decides; in the paper the location
+	// group has the loosest bounds and is solved first (exact 8/5), after
+	// which Bu = 9/4 + 8/5 = 77/20 < 4.5 rejects with a single matching
+	// call. The B^l rung solves both groups instead of bounding them, in
+	// group order: the food group (exact
+	// 13/6, Bu = 13/6 + 47/20 still reaches 4.5), then the location group,
+	// after which Bu = 113/30 rejects — two exact solves where the paper's
+	// loop made one call, and no call of that loop.
 	c, objs := newCtx(t, 0.6, 0.6, false)
 	var st Stats
 	if c.Verify(objs[7], objs[8], Adaptive, &st) {
@@ -120,8 +125,8 @@ func TestAdaptivePaperS8S9(t *testing.T) {
 	if st.UBRejected != 1 {
 		t.Errorf("UBRejected = %d, want 1", st.UBRejected)
 	}
-	if st.MatchingCalls != 1 {
-		t.Errorf("MatchingCalls = %d, want 1 (early termination)", st.MatchingCalls)
+	if st.ExactSolves != 2 || st.MatchingCalls != 0 {
+		t.Errorf("ExactSolves = %d, MatchingCalls = %d, want 2 and 0 (the rung decides)", st.ExactSolves, st.MatchingCalls)
 	}
 	// SubGraph needs both groups; Basic one big call.
 	var st2 Stats
@@ -260,11 +265,11 @@ func TestEmptyObjects(t *testing.T) {
 }
 
 func TestStatsAdd(t *testing.T) {
-	a := Stats{Pairs: 1, CountPruned: 2, WeightedPruned: 3, UBRejected: 4, LBAccepted: 5, MatchingCalls: 6, Results: 7}
+	a := Stats{Pairs: 1, CountPruned: 2, WeightedPruned: 3, UBRejected: 4, LBAccepted: 5, MatchingCalls: 6, ExactSolves: 8, Results: 7}
 	b := a
 	a.Add(b)
 	if a.Pairs != 2 || a.CountPruned != 4 || a.WeightedPruned != 6 || a.UBRejected != 8 ||
-		a.LBAccepted != 10 || a.MatchingCalls != 12 || a.Results != 14 {
+		a.LBAccepted != 10 || a.MatchingCalls != 12 || a.ExactSolves != 16 || a.Results != 14 {
 		t.Errorf("Add mismatch: %+v", a)
 	}
 }
