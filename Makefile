@@ -183,7 +183,9 @@ perf-smoke:
 # detector: the concurrent Add/Seal/Merge/RunQuery stress, the
 # differential bit-identity suite against the single-structure path,
 # the merge-policy/confluence units, the snapshot-v3 layout round-trip,
-# and the WAL seal-record recovery layout test — plus the verifier's
+# the bulk load and WAL-run replay against an Add-fed index (every
+# snapshot version, serial and parallel), and the WAL seal-record
+# recovery layout test — plus the verifier's
 # per-worker clones and probe tables (their rung 2b column cache, its
 # bound chain and boundary decisions included), which the engine's
 # pooled query kernels arm concurrently — and the score each kernel's
@@ -191,7 +193,7 @@ perf-smoke:
 # alone.
 segment-smoke:
 	$(GO) test -race -count=1 \
-		-run 'TestSegmented|TestSnapshotV3|TestMerge|TestIndexer|TestParallelJoinBitIdentical' \
+		-run 'TestSegmented|TestSnapshotV3|TestMerge|TestIndexer|TestParallelJoinBitIdentical|TestBulkLoadMatchesAdds' \
 		./internal/core/
 	$(GO) test -race -count=1 -run 'TestPathSimBitIdentical|TestArmedTablesNeverStale|TestScratchCloneIsolation|TestBoundChain|TestWeightedBoundMatchesGroups|TestScoreBitIdentical' ./internal/verify/
 	$(GO) test -race -count=1 -run 'TestScoreBitIdentical' .

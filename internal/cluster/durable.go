@@ -838,15 +838,15 @@ func Recover(cfg Config, d Durability) (*Coordinator, error) {
 	}
 	rs := &replayState{c: c}
 	c.log, err = serverutil.Open(d,
-		func(r io.Reader) (uint64, error) {
+		func(r io.Reader) (uint64, int, error) {
 			if r == nil {
-				return 0, nil // no durable state yet: the configured fleet stands
+				return 0, 0, nil // no durable state yet: the configured fleet stands
 			}
 			sn, err := loadCoordSnap(r)
 			if err != nil {
-				return 0, err
+				return 0, 0, err
 			}
-			return sn.walSeq, c.installSnap(sn)
+			return sn.walSeq, sn.objects, c.installSnap(sn)
 		},
 		peekCoordSnapMeta,
 		func(seq uint64, op wal.Op, fields []string) error {
@@ -857,7 +857,7 @@ func Recover(cfg Config, d Durability) (*Coordinator, error) {
 				return fmt.Errorf("cluster: replaying seq %d: %w", seq, err)
 			}
 			return nil
-		})
+		}, nil)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: coordinator %w", err)
 	}

@@ -58,16 +58,8 @@ type Indexer struct {
 	// the published cache snapshots (elem.Resolver.Publish,
 	// sig.Space.Publish) stored before prepMu is released.
 	//kjoinlint:lockorder rank=26
-	prepMu sync.Mutex
-	// sigSeen stamps prefix signatures during prepObject (the epoch-table
-	// form of the per-Add dedup map), keyed by signature id.
-	sigSeen  []int64 // guarded by prepMu
-	sigStamp int64   // guarded by prepMu
-	// entryBuf is the reusable signature-entry buffer of prepObject
-	// (entries are transient — only the derived prefix is retained), and
-	// ps the matching prefix-computation scratch.
-	entryBuf []sig.Entry       // guarded by prepMu
-	ps       sig.PrefixScratch // guarded by prepMu
+	prepMu  sync.Mutex
+	scratch []prepScratch // guarded by prepMu; one per prepRun worker
 
 	// mu guards the engine: the segment list, the memtable, the merger
 	// handle, the WAL position and the statistics. Writers hold it for
@@ -99,11 +91,6 @@ type Indexer struct {
 	// closed when the merger exits (WaitMerges blocks on it).
 	mergeCh chan struct{} // guarded by mu
 
-	// loadLayout suppresses count-based auto-seals while a v3 snapshot
-	// load reproduces a recorded segment layout. Set only during the
-	// single-threaded load, before any concurrent use.
-	loadLayout bool
-
 	// view is the atomically published engine epoch lock-free readers
 	// pin. Stored only by publishLocked (under mu); loaded anywhere.
 	view atomic.Pointer[view]
@@ -127,11 +114,12 @@ func NewIndexer(h *hierarchy.Hierarchy, opt Options) (*Indexer, error) {
 	// each probe computes its own range.
 	gate := newSizeGate(&j.opt, 0)
 	ix := &Indexer{
-		j:      j,
-		order:  sig.BuildOrder(nil), // empty df: order degrades to signature id
-		mem:    &memtable{},
-		memInv: index.New(),
-		wk:     newKernel(j.ctx, &j.opt, gate),
+		j:       j,
+		order:   sig.BuildOrder(nil), // empty df: order degrades to signature id
+		scratch: make([]prepScratch, 1),
+		mem:     &memtable{},
+		memInv:  index.New(),
+		wk:      newKernel(j.ctx, &j.opt, gate),
 	}
 	ix.vpool.New = func() any { return newKernel(j.ctx.Clone(), &j.opt, gate) }
 	ix.mu.Lock()
@@ -156,15 +144,6 @@ func (ix *Indexer) publishLocked() {
 	ix.view.Store(v)
 }
 
-// publishPrepLocked publishes the resolution and signature cache
-// snapshots for lock-free readers; the caller holds prepMu and has
-// fully preprocessed (resolved, signature-generated, group-keyed) every
-// element the snapshots cover.
-func (ix *Indexer) publishPrepLocked() {
-	ix.j.res.Publish()
-	ix.j.sp.Publish()
-}
-
 // Len returns the number of indexed objects. Safe to call concurrently
 // with anything.
 func (ix *Indexer) Len() int { return ix.view.Load().total }
@@ -175,48 +154,80 @@ func (ix *Indexer) Len() int { return ix.view.Load().total }
 // publish.
 func (ix *Indexer) Stats() Stats { return ix.view.Load().stats }
 
-// prepObject computes the preprocessed form of one tokenized object:
-// interned elements, their verification form and the deduplicated prefix under
-// the Indexer's fixed signature order. It mutates the shared resolution
-// and signature caches: caller holds prepMu for the whole call. The
-// returned entry count feeds the SigEntries statistic (queries do not
-// count).
-func (ix *Indexer) prepObject(tokens []string) (prepped, int) {
+// prepScratch is one preparer's reusable prefix-cut state. Add and
+// queries use the Indexer's first; a bulk run gives each worker one.
+type prepScratch struct {
+	entries []sig.Entry
+	ps      sig.PrefixScratch
+}
+
+// prepObject completes one interned object in place: its verification
+// form and its deduplicated prefix under the Indexer's fixed order (the
+// signature id, so the sorted prefix holds each signature as one run and
+// comes out ascending, as sharesSig needs). It returns the object's
+// signature-entry count. A missing cache slot is filled on the way, so
+// the caller holds prepMu, and other workers may share it only once
+// every element is warm.
+func (ix *Indexer) prepObject(p *prepped, s *prepScratch) int {
 	j := ix.j
-	p := j.resolveAll([][]string{tokens})[0]
-	entries := j.sp.AppendObjectSigs(ix.entryBuf[:0], p.Elems)
-	ix.entryBuf = entries
-	p.Prepared = j.ctx.Prepare(p.Elems, nil, nil)
-	ix.order.SortS(entries, &ix.ps)
 	n := len(p.Elems)
+	p.Prepared = j.ctx.Prepare(p.Elems, nil, nil)
+	s.entries = j.sp.AppendObjectSigs(s.entries[:0], p.Elems)
+	ix.order.SortS(s.entries, &s.ps)
 	var plen int
 	if j.opt.Weighted {
-		plen = sig.WeightedPrefixS(entries, j.opt.Set.MinOverlap(j.opt.Tau, n), &ix.ps)
+		plen = sig.WeightedPrefixS(s.entries, j.opt.Set.MinOverlap(j.opt.Tau, n), &s.ps)
 	} else {
-		plen = sig.DistElePrefixS(entries, j.opt.Set.TauS(j.opt.Tau, n), &ix.ps)
+		plen = sig.DistElePrefixS(s.entries, j.opt.Set.TauS(j.opt.Tau, n), &s.ps)
 	}
-	if n := j.sp.NumSigs(); n > len(ix.sigSeen) {
-		ix.sigSeen = append(ix.sigSeen, make([]int64, n-len(ix.sigSeen))...)
-	}
-	ix.sigStamp++
-	for _, e := range entries[:plen] {
-		if ix.sigSeen[e.Sig] != ix.sigStamp {
-			ix.sigSeen[e.Sig] = ix.sigStamp
+	for i, e := range s.entries[:plen] {
+		if i == 0 || e.Sig != s.entries[i-1].Sig {
 			p.prefix = append(p.prefix, int32(e.Sig))
 		}
 	}
-	return p, len(entries)
+	return len(s.entries)
 }
 
-// prep preprocesses one object under prepMu and publishes the cache
-// snapshots before releasing it, so the returned prepped object is
-// fully servable to lock-free readers.
-func (ix *Indexer) prep(tokens []string) (prepped, int) {
+// prepRun interns and prepares objects: one for Add and PrepareQuery, a
+// run for loads and replay. Tokens are interned serially in input order,
+// so element and signature ids never depend on the batching; a run long
+// enough to share then has its new elements resolved and warmed, and its
+// objects prepared, across the workers (a scratch and a block each). The
+// cache snapshots are published before prepMu is released, so the
+// objects are servable to lock-free readers. It returns them with their
+// signature-entry total.
+func (ix *Indexer) prepRun(objs [][]string) ([]prepped, int) {
 	ix.prepMu.Lock()
 	defer ix.prepMu.Unlock()
-	p, n := ix.prepObject(tokens)
-	ix.publishPrepLocked()
-	return p, n
+	j := ix.j
+	ps := j.resolveAll(objs)
+	workers := j.workerCount(len(ps) / 64) // a worker costs more than 64 objects save
+	if workers > 1 {
+		j.res.ResolveAll(workers)
+		j.sp.Warm(j.res.Len(), workers)
+	}
+	for len(ix.scratch) < workers {
+		ix.scratch = append(ix.scratch, prepScratch{})
+	}
+	var entries atomic.Int64
+	block := func(w int) {
+		for i := w * len(ps) / workers; i < (w+1)*len(ps)/workers; i++ {
+			entries.Add(int64(ix.prepObject(&ps[i], &ix.scratch[w])))
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			block(w)
+		}()
+	}
+	block(0)
+	wg.Wait()
+	j.res.Publish()
+	j.sp.Publish()
+	return ps, int(entries.Load())
 }
 
 // Add indexes the tokenized object and returns the pairs (i, Len()-1)
@@ -240,7 +251,8 @@ func (ix *Indexer) AddCtx(ctx context.Context, tokens []string) (int, []Pair, er
 		return 0, nil, err
 	}
 	t0 := time.Now()
-	p, entries := ix.prep(tokens)
+	ps, entries := ix.prepRun([][]string{tokens})
+	p := ps[0]
 	prepTime := time.Since(t0)
 
 	j := ix.j
@@ -328,8 +340,8 @@ func (ix *Indexer) PrepareQuery(tokens []string) (*PreparedQuery, error) {
 	if err := validateTokens(tokens); err != nil {
 		return nil, err
 	}
-	p, _ := ix.prep(tokens)
-	return &PreparedQuery{p: p}, nil
+	ps, _ := ix.prepRun([][]string{tokens})
+	return &PreparedQuery{p: ps[0]}, nil
 }
 
 // RunQuery probes the index with a prepared query and reports the

@@ -386,10 +386,8 @@ func TestMergeConfluence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range objs {
-		if err := sync_.addNoProbe(o); err != nil {
-			t.Fatal(err)
-		}
+	if err := sync_.ApplyLoggedRun(1, objs); err != nil {
+		t.Fatal(err)
 	}
 	sync_.WaitMerges()
 

@@ -6,6 +6,7 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -307,117 +308,142 @@ func PeekSnapshotMeta(r io.Reader) (SnapshotMeta, error) {
 // merging); older snapshots rebuild their layout through the
 // deterministic count-based seal policy.
 //
-// Loading is strict about integrity: the declared object count must
-// match the lines actually read (a snapshot truncated on a line
-// boundary fails instead of loading short), and a v2+ snapshot must end
-// with a trailer whose CRC32C matches the bytes read and whose record
-// count agrees with the header.
+// Loading is strict about integrity, and checks everything before it
+// prepares a single object: the declared object count must match the
+// lines actually read (a snapshot truncated on a line boundary fails
+// instead of loading short), and a v2+ snapshot must end with a trailer
+// whose CRC32C matches the bytes read and whose record count agrees with
+// the header. The objects are then prepared in bulk (prepRun), a chunk
+// at a time, and committed in order; the index is published once.
 func LoadIndexerMeta(h *hierarchy.Hierarchy, opt Options, r io.Reader) (*Indexer, SnapshotMeta, error) {
 	ix, err := NewIndexer(h, opt)
 	if err != nil {
 		return nil, SnapshotMeta{}, err
 	}
+	hdr, bounds, lines, err := readSnapshot(r, opt)
+	if err != nil {
+		return nil, SnapshotMeta{}, err
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	for done := 0; done < len(lines); {
+		end := len(lines)
+		if len(bounds) > 0 {
+			end = bounds[0]
+		}
+		if hdr.version >= 3 { // the memtable takes its whole segment at once
+			ix.mem.objs = slices.Grow(ix.mem.objs, end-done)
+		}
+		end = min(end, done+bulkChunk)
+		objs := make([][]string, end-done)
+		for i, line := range lines[done:end] {
+			if line != "" { // snapshots from before input validation may hold one
+				objs[i] = strings.Split(line, "\t")
+			}
+		}
+		if err := ix.insertRunLocked(objs, hdr.version < 3); err != nil {
+			return nil, SnapshotMeta{}, err
+		}
+		if done = end; len(bounds) > 0 && done == bounds[0] {
+			ix.sealLocked()
+			bounds = bounds[1:]
+		}
+	}
+	ix.walSeq = hdr.meta.WALSeq
+	ix.publishLocked()
+	return ix, hdr.meta, nil
+}
+
+// bulkChunk is the most objects a load prepares at once: enough to keep
+// the workers busy, few enough to stay small beside the index.
+const bulkChunk = 1024
+
+// readSnapshot reads a whole snapshot and runs every integrity check,
+// building no index state. It returns the header, with the object count
+// read in its meta; the cumulative object counts a v3 snapshot seals at
+// and nowhere else; and the object lines.
+func readSnapshot(r io.Reader, opt Options) (hdr snapshotHeader, bounds []int, lines []string, err error) {
 	crc := crc32.New(snapCastagnoli)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
 	if !sc.Scan() {
-		return nil, SnapshotMeta{}, fmt.Errorf("kjoin: snapshot: missing header: %w", sc.Err())
+		return hdr, nil, nil, fmt.Errorf("kjoin: snapshot: missing header: %w", sc.Err())
 	}
 	magicLine := sc.Text()
-	hashLine(crc, magicLine)
+	hashLine(crc, sc.Bytes())
 	if !sc.Scan() {
-		return nil, SnapshotMeta{}, fmt.Errorf("kjoin: snapshot: missing config line")
+		return hdr, nil, nil, fmt.Errorf("kjoin: snapshot: missing config line")
 	}
 	cfgLine := sc.Text()
-	hashLine(crc, cfgLine)
-	hdr, err := parseSnapshotHeader(magicLine, cfgLine)
-	if err != nil {
-		return nil, SnapshotMeta{}, err
+	hashLine(crc, sc.Bytes())
+	if hdr, err = parseSnapshotHeader(magicLine, cfgLine); err != nil {
+		return hdr, nil, nil, err
 	}
-	version, declared, meta := hdr.version, hdr.declared, hdr.meta
 	wantCfg := fmt.Sprintf("delta=%g tau=%g metric=%v set=%v scheme=%v weighted=%v verifier=%v plus=%v",
 		opt.Delta, opt.Tau, opt.Metric, opt.Set, opt.Scheme, opt.Weighted, opt.Verifier, opt.Plus)
 	if hdr.cfg != wantCfg {
-		return nil, SnapshotMeta{}, fmt.Errorf("kjoin: snapshot: configuration mismatch:\n snapshot: %s\n  options: %s", hdr.cfg, wantCfg)
+		return hdr, nil, nil, fmt.Errorf("kjoin: snapshot: configuration mismatch:\n snapshot: %s\n  options: %s", hdr.cfg, wantCfg)
 	}
-	// A recorded layout overrides the count-based seal policy: seal at
-	// exactly the recorded cumulative boundaries and nowhere else.
-	var boundaries []int // cumulative object counts at which to seal
-	if version >= 3 {
+	if hdr.version >= 3 {
 		if !sc.Scan() {
-			return nil, SnapshotMeta{}, fmt.Errorf("kjoin: snapshot: missing segments line")
+			return hdr, nil, nil, fmt.Errorf("kjoin: snapshot: missing segments line")
 		}
-		segLine := sc.Text()
-		hashLine(crc, segLine)
-		sizes, err := parseSegmentsLine(segLine, declared)
+		hashLine(crc, sc.Bytes())
+		sizes, err := parseSegmentsLine(sc.Text(), hdr.declared)
 		if err != nil {
-			return nil, SnapshotMeta{}, err
+			return hdr, nil, nil, err
 		}
 		cum := 0
 		for _, n := range sizes {
 			cum += n
-			boundaries = append(boundaries, cum)
+			bounds = append(bounds, cum)
 		}
-		ix.loadLayout = true
-		defer func() { ix.loadLayout = false }()
 	}
 	sawTrailer := false
 	for sc.Scan() {
 		line := sc.Text()
-		if version >= 2 && strings.HasPrefix(line, snapshotTrailer+" ") {
+		if hdr.version >= 2 && strings.HasPrefix(line, snapshotTrailer+" ") {
 			var wantCRC uint32
 			var wantRecords int
 			if _, err := fmt.Sscanf(line, snapshotTrailer+" crc32c=%x records=%d", &wantCRC, &wantRecords); err != nil {
-				return nil, SnapshotMeta{}, fmt.Errorf("kjoin: snapshot: bad trailer %q", line)
+				return hdr, nil, nil, fmt.Errorf("kjoin: snapshot: bad trailer %q", line)
 			}
 			if got := crc.Sum32(); got != wantCRC {
-				return nil, SnapshotMeta{}, fmt.Errorf("kjoin: snapshot: checksum mismatch: crc32c %08x, trailer says %08x", got, wantCRC)
+				return hdr, nil, nil, fmt.Errorf("kjoin: snapshot: checksum mismatch: crc32c %08x, trailer says %08x", got, wantCRC)
 			}
-			if wantRecords != ix.Len() {
-				return nil, SnapshotMeta{}, fmt.Errorf("kjoin: snapshot: trailer records=%d but %d objects read", wantRecords, ix.Len())
+			if wantRecords != len(lines) {
+				return hdr, nil, nil, fmt.Errorf("kjoin: snapshot: trailer records=%d but %d objects read", wantRecords, len(lines))
 			}
 			sawTrailer = true
 			continue
 		}
 		if sawTrailer {
-			return nil, SnapshotMeta{}, fmt.Errorf("kjoin: snapshot: data after trailer")
+			return hdr, nil, nil, fmt.Errorf("kjoin: snapshot: data after trailer")
 		}
-		hashLine(crc, line)
-		var tokens []string
-		if line != "" {
-			tokens = strings.Split(line, "\t")
-		}
-		if err := ix.addNoProbe(tokens); err != nil {
-			return nil, SnapshotMeta{}, err
-		}
-		if len(boundaries) > 0 && ix.Len() == boundaries[0] {
-			ix.sealBoundary()
-			boundaries = boundaries[1:]
-		}
+		hashLine(crc, sc.Bytes())
+		lines = append(lines, line)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, SnapshotMeta{}, err
+		return hdr, nil, nil, err
 	}
-	if version >= 2 && !sawTrailer {
-		return nil, SnapshotMeta{}, fmt.Errorf("kjoin: snapshot: truncated: missing trailer")
+	if hdr.version >= 2 && !sawTrailer {
+		return hdr, nil, nil, fmt.Errorf("kjoin: snapshot: truncated: missing trailer")
 	}
-	if declared >= 0 && ix.Len() != declared {
-		return nil, SnapshotMeta{}, fmt.Errorf("kjoin: snapshot: header says objects=%d but %d object lines read (truncated?)", declared, ix.Len())
+	if hdr.declared >= 0 && len(lines) != hdr.declared {
+		return hdr, nil, nil, fmt.Errorf("kjoin: snapshot: header says objects=%d but %d object lines read (truncated?)", hdr.declared, len(lines))
 	}
-	meta.Objects = ix.Len()
-	ix.mu.Lock()
-	ix.walSeq = meta.WALSeq
-	ix.publishLocked()
-	ix.mu.Unlock()
-	return ix, meta, nil
+	hdr.meta.Objects = len(lines)
+	return hdr, bounds, lines, nil
 }
 
 // hashLine feeds one scanned line (with the newline the scanner
 // stripped) into the snapshot checksum.
-func hashLine(crc hash.Hash32, line string) {
-	crc.Write([]byte(line))
-	crc.Write([]byte{'\n'})
+func hashLine(crc hash.Hash32, line []byte) {
+	crc.Write(line)
+	crc.Write(newline)
 }
+
+var newline = []byte{'\n'}
 
 // WALSeq returns the last write-ahead-log sequence applied to this
 // Indexer (via ApplyLogged, SetWALSeq, or the snapshot it was loaded
@@ -435,22 +461,28 @@ func (ix *Indexer) SetWALSeq(seq uint64) {
 	ix.mu.Unlock()
 }
 
-// ApplyLogged replays one write-ahead-log add record: the object is
+// ApplyLogged replays one write-ahead-log add record (ApplyLoggedRun).
+func (ix *Indexer) ApplyLogged(seq uint64, tokens []string) error {
+	return ix.ApplyLoggedRun(seq, [][]string{tokens})
+}
+
+// ApplyLoggedRun replays consecutive write-ahead-log add records, the
+// first with sequence first: the objects are prepared in bulk and
 // indexed without probing for pairs (they were already reported when
-// the add was acknowledged) and the Indexer's WAL position advances.
+// the adds were acknowledged), and the WAL position advances past them.
 // Records must arrive in contiguous sequence order — a gap means log
 // segments were lost and the recovered index would silently diverge, so
 // it is an error rather than a skip.
-func (ix *Indexer) ApplyLogged(seq uint64, tokens []string) error {
+func (ix *Indexer) ApplyLoggedRun(first uint64, run [][]string) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if seq != ix.walSeq+1 {
-		return fmt.Errorf("kjoin: WAL gap: record seq %d after applied seq %d", seq, ix.walSeq)
+	if first != ix.walSeq+1 {
+		return fmt.Errorf("kjoin: WAL gap: record seq %d after applied seq %d", first, ix.walSeq)
 	}
-	if err := ix.insertNoProbeLocked(tokens); err != nil {
+	if err := ix.insertRunLocked(run, true); err != nil {
 		return err
 	}
-	ix.walSeq = seq
+	ix.walSeq = first + uint64(len(run)) - 1
 	ix.publishLocked()
 	return nil
 }
@@ -474,46 +506,25 @@ func (ix *Indexer) ApplySealLogged(seq uint64) error {
 	return nil
 }
 
-// addNoProbe indexes an object without searching for its pairs — the
-// replay path of LoadIndexer.
-func (ix *Indexer) addNoProbe(tokens []string) error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if err := ix.insertNoProbeLocked(tokens); err != nil {
-		return err
-	}
-	ix.publishLocked()
-	return nil
-}
-
-// sealBoundary seals the memtable at a snapshot-recorded segment
-// boundary — the v3 load path, which reproduces the recorded layout
-// verbatim and therefore never merges.
-func (ix *Indexer) sealBoundary() {
-	ix.mu.Lock()
-	ix.sealLocked()
-	ix.publishLocked()
-	ix.mu.Unlock()
-}
-
-// insertNoProbeLocked preps and commits one object without probing for
-// pairs — shared by snapshot loading and WAL replay. Replay never logs
-// seals: count-based seals here reproduce the layout of logs written
-// before seal records existed, and are suppressed while a recorded v3
-// layout is being reproduced. It stays lenient about structurally odd
-// objects (empty lines) so snapshots written before input validation
-// existed still load. Caller holds mu.
-func (ix *Indexer) insertNoProbeLocked(tokens []string) error {
-	id := ix.mem.base + len(ix.mem.objs)
-	if id > (1<<31)-2 {
+// insertRunLocked indexes objs in order without probing for pairs — the
+// shared path of snapshot loads and WAL replay — preparing them in bulk
+// (prepRun) and committing them one by one. With countSeal a commit
+// seals, and merges to the layout fixpoint, before an insert that would
+// overflow the memtable: the count rule that rebuilds the layout of
+// v1/v2 snapshots and of logs written before seal records existed.
+// Replay never logs seals. Caller holds mu and publishes after.
+func (ix *Indexer) insertRunLocked(objs [][]string, countSeal bool) error {
+	if ix.mem.base+len(ix.mem.objs)+len(objs) > (1<<31)-1 {
 		return fmt.Errorf("kjoin: indexer is full")
 	}
-	p, entries := ix.prep(tokens)
-	if !ix.loadLayout && len(ix.mem.objs) >= ix.sealCap() {
-		ix.sealLocked()
-		ix.mergeToFixpointLocked()
+	ps, entries := ix.prepRun(objs)
+	for _, p := range ps {
+		if countSeal && len(ix.mem.objs) >= ix.sealCap() {
+			ix.sealLocked()
+			ix.mergeToFixpointLocked()
+		}
+		ix.insertLocked(p)
 	}
-	ix.insertLocked(p)
 	ix.j.st.SigEntries += int64(entries)
 	return nil
 }

@@ -84,6 +84,8 @@ type Resolver struct {
 	ids      map[string]ID
 	infos    []Info
 	resolved []bool
+	// ResolveAll starts at resolvedBelow: every id below it is resolved.
+	resolvedBelow int
 
 	// pub is the atomically published resolved prefix of infos: Info (and
 	// through it Sim and MaxDiffSim) serves ids below the published length
@@ -114,8 +116,9 @@ type Resolver struct {
 
 // NewResolver returns a resolver over h with the given options.
 func NewResolver(h *hierarchy.Hierarchy, opts Options) *Resolver {
-	r := &Resolver{h: h, opts: opts, ids: make(map[string]ID), nameIdx: make(map[string][]hierarchy.NodeID)}
-	for _, name := range h.Names() {
+	names := h.Names()
+	r := &Resolver{h: h, opts: opts, ids: make(map[string]ID), nameIdx: make(map[string][]hierarchy.NodeID, len(names))}
+	for _, name := range names {
 		ln := strings.ToLower(name)
 		r.nameIdx[ln] = append(r.nameIdx[ln], h.Lookup(name)...)
 	}
@@ -160,6 +163,7 @@ func (r *Resolver) ID(token string) ID {
 	if id, ok := r.ids[t]; ok {
 		return id
 	}
+	t = strings.Clone(t) // its own copy: t may slice a longer line or log record
 	id := ID(len(r.infos))
 	r.ids[t] = id
 	r.infos = append(r.infos, Info{Token: t, Canon: t})
@@ -206,12 +210,13 @@ func (r *Resolver) ResolveAll(workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	n := len(r.infos)
-	if workers > n {
-		workers = n
+	lo, n := r.resolvedBelow, len(r.infos)
+	r.resolvedBelow = n
+	if workers > n-lo {
+		workers = n - lo
 	}
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
+		for i := lo; i < n; i++ {
 			r.Info(ID(i))
 		}
 		return
@@ -224,7 +229,7 @@ func (r *Resolver) ResolveAll(workers int) {
 			// Per-worker mapping scratch: arena chunks stay referenced by
 			// the Mappings they back, so dropping the scratch is safe.
 			var rs resolveScratch
-			for i := w; i < n; i += workers {
+			for i := lo + w; i < n; i += workers {
 				if !r.resolved[i] {
 					r.infos[i] = r.resolve(&rs, r.infos[i].Token)
 					r.resolved[i] = true

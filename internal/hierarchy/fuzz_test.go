@@ -14,6 +14,11 @@ func FuzzRead(f *testing.F) {
 	f.Add("garbage")
 	f.Add("0\t-1\tRoot\n1\t7\tA\n")
 	f.Add("0\t-1\tRoot\n1\t0\t\n")
+	// Id forms Sscanf("%d") once read past: trailing junk, padding and a
+	// base prefix.
+	f.Add("0\t-1\tRoot\n1abc\t0\tA\n")
+	f.Add("0\t-1\tRoot\n 1\t0\tA\n")
+	f.Add("0\t-1\tRoot\n1\t0x0\tA\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		h, err := Read(strings.NewReader(input))
 		if err != nil {

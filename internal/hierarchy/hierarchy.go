@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -258,11 +259,12 @@ func Read(r io.Reader) (*Hierarchy, error) {
 		if len(parts) != 3 {
 			return nil, fmt.Errorf("hierarchy: line %d: want 3 tab-separated fields, got %q", line, text)
 		}
-		var id, parent int
-		if _, err := fmt.Sscanf(parts[0], "%d", &id); err != nil {
+		id, err := strconv.Atoi(parts[0]) // plain decimals, as WriteTo writes them
+		if err != nil {
 			return nil, fmt.Errorf("hierarchy: line %d: bad id %q", line, parts[0])
 		}
-		if _, err := fmt.Sscanf(parts[1], "%d", &parent); err != nil {
+		parent, err := strconv.Atoi(parts[1])
+		if err != nil {
 			return nil, fmt.Errorf("hierarchy: line %d: bad parent %q", line, parts[1])
 		}
 		name := parts[2]

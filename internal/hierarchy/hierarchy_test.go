@@ -2,6 +2,7 @@ package hierarchy
 
 import (
 	"bytes"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -171,6 +172,27 @@ func TestReadErrors(t *testing.T) {
 		if _, err := Read(strings.NewReader(c)); err == nil {
 			t.Errorf("Read(%q) should fail", c)
 		}
+	}
+}
+
+// TestReadRejectsNonDecimalIds pins Read's id parsing to the plain
+// decimals WriteTo emits: trailing junk, padding and base prefixes are
+// errors, not the number their leading digits spell.
+func TestReadRejectsNonDecimalIds(t *testing.T) {
+	for _, bad := range []string{"1abc", " 1", "1 ", "0x1", "1.0", ""} {
+		for _, c := range []struct{ input, err string }{
+			{"0\t-1\tRoot\n" + bad + "\t0\tA\n", fmt.Sprintf("hierarchy: line 2: bad id %q", bad)},
+			{"0\t-1\tRoot\n1\t0\tA\n2\t" + bad + "\tB\n", fmt.Sprintf("hierarchy: line 3: bad parent %q", bad)},
+		} {
+			_, err := Read(strings.NewReader(c.input))
+			if err == nil || err.Error() != c.err {
+				t.Errorf("Read(%q) = %v, want %q", c.input, err, c.err)
+			}
+		}
+	}
+	h, err := Read(strings.NewReader("0\t-1\tRoot\n1\t0\tA\n2\t1\tB\n"))
+	if err != nil || h.Len() != 3 || h.Parent(2) != 1 {
+		t.Fatalf("plain decimal ids: %v", err)
 	}
 }
 

@@ -36,20 +36,31 @@ func NewRecovering(h *hierarchy.Hierarchy, opt core.Options, cfg Config) (*Serve
 // server ready. Every record acknowledged before the crash is replayed;
 // nothing that was never acknowledged can appear, because
 // unacknowledged records are either absent (fsync refused → rolled
-// back) or past the torn-tail truncation point.
+// back) or past the torn-tail truncation point. Consecutive add records
+// replay as runs through the engine's bulk path (ApplyLoggedRun), cut
+// at each seal record, which then applies alone.
 func (s *Server) Recover(d Durability) error {
 	var ix *core.Indexer
+	var run [][]string
+	var first uint64 // seq of run[0]
+	flush := func() (err error) {
+		if len(run) > 0 {
+			err = ix.ApplyLoggedRun(first, run)
+			run = run[:0]
+		}
+		return err
+	}
 	l, err := serverutil.Open(d,
-		func(r io.Reader) (uint64, error) {
+		func(r io.Reader) (uint64, int, error) {
 			var err error
 			if r == nil {
 				ix, err = core.NewIndexer(s.h, s.opt)
-				return 0, err
+				return 0, 0, err
 			}
 			if ix, _, err = core.LoadIndexerMeta(s.h, s.opt, r); err != nil {
-				return 0, err
+				return 0, 0, err
 			}
-			return ix.WALSeq(), nil
+			return ix.WALSeq(), ix.Len(), nil
 		},
 		func(r io.Reader) (uint64, error) {
 			m, err := core.PeekSnapshotMeta(r)
@@ -59,10 +70,20 @@ func (s *Server) Recover(d Durability) error {
 			if op == wal.OpSeal {
 				// A logged seal boundary: reproduce the pre-crash segment
 				// layout by sealing at exactly the same point.
+				if err := flush(); err != nil {
+					return err
+				}
 				return ix.ApplySealLogged(seq)
 			}
-			return ix.ApplyLogged(seq, tokens)
-		})
+			if len(run) == 0 {
+				first = seq
+			}
+			if run = append(run, tokens); len(run) < 1024 { // bounds what replay holds
+				return nil
+			}
+			return flush()
+		},
+		flush)
 	if err != nil {
 		return fmt.Errorf("server: %w", err)
 	}

@@ -63,46 +63,54 @@ type Log struct {
 // to append:
 //
 //   - load restores the owner's state from the newest generation it
-//     accepts and returns the WAL sequence that generation covers;
-//     generations it rejects are fallen back past. With no generation on
-//     disk it is called once with a nil reader: the owner starts empty.
+//     accepts and returns the WAL sequence that generation covers and
+//     the objects it holds; generations it rejects are fallen back past.
+//     With no generation on disk it is called once with a nil reader:
+//     the owner starts empty.
 //   - peek returns the sequence a generation covers from its header
 //     alone. Every generation on disk seeds the compaction floor, not
 //     just the one that loaded: the older ones remain fallback
 //     candidates (the newest may corrupt at rest later), so the records
 //     they need must outlive them.
-//   - apply replays each WAL record past the loaded sequence.
+//   - apply replays each WAL record past the loaded sequence, and
+//     flush, when set, runs once after the last of them: an owner that
+//     batches records applies what it still holds there.
 //
-// A log that ends before the loaded sequence (truncated or deleted
-// out-of-band), or whose numbering proves records past it were
-// compacted away, is refused: serving a shorter state than was
-// acknowledged would silently drop acknowledged changes. Errors carry
-// no owner prefix; callers wrap them.
-func Open(d Durability, load, peek func(r io.Reader) (seq uint64, err error), apply func(seq uint64, op wal.Op, fields []string) error) (*Log, error) {
+// Both phases are logged with their wall time, so where a restart spent
+// its time shows in the log. A log that ends before the loaded sequence
+// (truncated or deleted out-of-band), or whose numbering proves records
+// past it were compacted away, is refused: serving a shorter state than
+// was acknowledged would silently drop acknowledged changes. Errors
+// carry no owner prefix; callers wrap them.
+func Open(d Durability, load func(r io.Reader) (seq uint64, objects int, err error), peek func(r io.Reader) (seq uint64, err error),
+	apply func(seq uint64, op wal.Op, fields []string) error, flush func() error) (*Log, error) {
 	logf := d.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	gens := &GenStore{FS: d.FS, Dir: d.SnapshotDir, Keep: d.Keep, Logf: d.Logf}
 	var base uint64
+	var objects int
+	t0 := time.Now()
 	name, err := gens.Load(func(r io.Reader) (err error) {
-		base, err = load(r)
+		base, objects, err = load(r)
 		return err
 	})
 	switch {
 	case errors.Is(err, ErrNoSnapshot):
-		if _, err := load(nil); err != nil {
+		if _, _, err := load(nil); err != nil {
 			return nil, err
 		}
 		logf("recovery: no snapshot; starting empty")
 	case err != nil:
 		return nil, fmt.Errorf("load snapshot: %w", err)
 	default:
-		logf("recovery: loaded snapshot %s (wal seq %d)", name, base)
+		logf("recovery: loaded snapshot %s (%d objects, wal seq %d) in %v", name, objects, base, time.Since(t0))
 	}
 	l := &Log{gens: gens, floor: seedFloor(gens, peek, base, logf), onDisk: name != ""}
 	replayed := 0
 	var maxRec uint64 // highest record actually present in the log
+	t0 = time.Now()
 	w, err := wal.Open(d.FS, d.WALDir, wal.Options{Policy: d.Policy, BatchWindow: d.BatchWindow, Logf: d.Logf},
 		func(seq uint64, op wal.Op, fields []string) error {
 			maxRec = max(maxRec, seq)
@@ -114,6 +122,12 @@ func Open(d Durability, load, peek func(r io.Reader) (seq uint64, err error), ap
 		})
 	if err != nil {
 		return nil, fmt.Errorf("open wal: %w", err)
+	}
+	if flush != nil {
+		if err := flush(); err != nil {
+			_ = w.Close() // recovery already failed; the replay error is the one to report
+			return nil, fmt.Errorf("replay wal: %w", err)
+		}
 	}
 	// The log's numbering can outrun its records: compaction leaves a
 	// fresh segment whose name is the only on-disk trace of how far
@@ -127,7 +141,7 @@ func Open(d Durability, load, peek func(r io.Reader) (seq uint64, err error), ap
 		_ = w.Close() // recovery already failed; the gap error is the one to report
 		return nil, fmt.Errorf("wal numbering reaches seq %d but its records end at seq %d and snapshot %s covers only seq %d: acknowledged records were compacted away", tail, maxRec, name, base)
 	}
-	logf("recovery: replayed %d wal record(s) past seq %d", replayed, base)
+	logf("recovery: replayed %d wal record(s) past seq %d in %v", replayed, base, time.Since(t0))
 	l.wal = w
 	l.snapSeq.Store(base)
 	return l, nil

@@ -51,12 +51,15 @@ func (m *toyMachine) open(t *testing.T, d Durability) (*Log, error) {
 		}
 		return bufio.NewReader(r)
 	}
-	return Open(d, func(r io.Reader) (uint64, error) { return m.load(br(r)) }, toyPeek,
+	return Open(d, func(r io.Reader) (uint64, int, error) {
+		seq, err := m.load(br(r))
+		return seq, len(m.recs), err
+	}, toyPeek,
 		func(seq uint64, op wal.Op, fields []string) error {
 			m.recs = append(m.recs, fields...)
 			m.applied++
 			return nil
-		})
+		}, nil)
 }
 
 func (m *toyMachine) snapshot(l *Log) error {

@@ -94,6 +94,9 @@ type Space struct {
 	// gen is the generation scratch of the single-threaded cache-fill
 	// path; Warm workers carry their own.
 	gen genState
+	// Warm starts at warmed: every element id below it has both caches
+	// filled.
+	warmed int
 }
 
 // groupCaches is one published snapshot of the per-element verification
@@ -317,11 +320,16 @@ func (sp *Space) genSigs(st *genState, e elem.ID) []sigW {
 }
 
 // Warm precomputes the signature and group-key caches for every element
-// id in [0, n), sharding entity elements across workers goroutines
-// (their generation only reads immutable resolver/hierarchy state and
-// writes exclusive cache slots); non-entity elements intern token
-// signatures through a map and run sequentially afterwards.
+// id below n not yet warmed, sharding entity elements across workers
+// goroutines (their generation only reads immutable resolver/hierarchy
+// state and writes exclusive cache slots); non-entity elements intern
+// token signatures through a map and run sequentially afterwards.
 func (sp *Space) Warm(n, workers int) {
+	lo := sp.warmed
+	if n <= lo {
+		return
+	}
+	sp.warmed = n
 	for len(sp.sigCache) < n {
 		sp.sigCache = append(sp.sigCache, nil)
 	}
@@ -329,8 +337,8 @@ func (sp *Space) Warm(n, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
+	if workers > n-lo {
+		workers = n - lo
 	}
 	if workers > 1 {
 		var wg sync.WaitGroup
@@ -341,7 +349,7 @@ func (sp *Space) Warm(n, workers int) {
 				// Per-worker generation scratch: its arena chunks stay
 				// alive through the cache slices carved from them.
 				var st genState
-				for i := w; i < n; i += workers {
+				for i := lo + w; i < n; i += workers {
 					e := elem.ID(i)
 					if !sp.res.Info(e).Entity() {
 						continue
@@ -360,7 +368,7 @@ func (sp *Space) Warm(n, workers int) {
 	// Sequential pass covers non-entity elements (token-signature
 	// interning mutates a shared map) and anything a single worker run
 	// would have handled.
-	for i := 0; i < n; i++ {
+	for i := lo; i < n; i++ {
 		e := elem.ID(i)
 		if sp.sigCache[i] == nil {
 			sp.sigCache[i] = sp.genSigs(&sp.gen, e)

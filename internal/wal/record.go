@@ -108,13 +108,15 @@ func decodePayload(payload []byte) (seq uint64, op Op, tokens []string, err erro
 		return 0, 0, nil, fmt.Errorf("%w: seal record carries tokens", errCorrupt)
 	}
 	rest = rest[used:]
+	str := string(rest) // one copy: every token is a slice of it
 	tokens = make([]string, 0, n)
 	for i := uint64(0); i < n; i++ {
 		l, used := binary.Uvarint(rest)
 		if used <= 0 || l > uint64(len(rest)-used) {
 			return 0, 0, nil, errCorrupt
 		}
-		tokens = append(tokens, string(rest[used:used+int(l)]))
+		at := len(str) - len(rest) + used
+		tokens = append(tokens, str[at:at+int(l)])
 		rest = rest[used+int(l):]
 	}
 	if len(rest) != 0 {
