@@ -184,16 +184,18 @@ perf-smoke:
 # differential bit-identity suite against the single-structure path,
 # the merge-policy/confluence units, the snapshot-v3 layout round-trip,
 # the bulk load and WAL-run replay against an Add-fed index (every
-# snapshot version, serial and parallel), and the WAL seal-record
+# snapshot version, serial and parallel), the one probe adds and queries
+# share (against the naive join, under concurrent prepared queries, and
+# with pooled query counts kept out of Stats), and the WAL seal-record
 # recovery layout test — plus the verifier's
 # per-worker clones and probe tables (their rung 2b column cache, its
 # bound chain and boundary decisions included), which the engine's
-# pooled query kernels arm concurrently — and the score each kernel's
+# pooled probe kernels arm concurrently — and the score each kernel's
 # verifier holds for the pair it accepted, read back by that kernel
 # alone.
 segment-smoke:
 	$(GO) test -race -count=1 \
-		-run 'TestSegmented|TestSnapshotV3|TestMerge|TestIndexer|TestParallelJoinBitIdentical|TestBulkLoadMatchesAdds' \
+		-run 'TestSegmented|TestSnapshotV3|TestMerge|TestIndexer|TestParallelJoinBitIdentical|TestBulkLoadMatchesAdds|TestKernelPathsMatchNaive|TestQueryPreparedConcurrent|TestQueryCountsNeverLeakIntoStats' \
 		./internal/core/
 	$(GO) test -race -count=1 -run 'TestPathSimBitIdentical|TestArmedTablesNeverStale|TestScratchCloneIsolation|TestBoundChain|TestWeightedBoundMatchesGroups|TestScoreBitIdentical' ./internal/verify/
 	$(GO) test -race -count=1 -run 'TestScoreBitIdentical' .

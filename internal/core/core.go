@@ -583,7 +583,6 @@ func (j *joiner) probe(probes []prepped, rk *ranked, self, probesAreR bool) []Pa
 			// kernel verifies on its own Context clone, whose Scratch makes
 			// the steady-state verify path allocation-free and race-free.
 			k := newKernel(j.ctx.Clone(), &j.opt, gate)
-			k.seen = make([]int32, len(rk.objs))
 			var pairs []Pair
 			processed := 0
 			for x := w; x < len(probes); x += workers {
@@ -599,7 +598,7 @@ func (j *joiner) probe(probes []prepped, rk *ranked, self, probesAreR bool) []Pa
 				if self {
 					hi = int32(x) // x itself is inside its own size range
 				}
-				k.begin()
+				k.begin(len(rk.objs))
 				k.gatherRanked(rk, px, lo, hi)
 				if !k.run(j.cc, px, rk, input, int32(x)) {
 					break // cancelled mid-object: abandon it whole

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"kjoin/internal/hierarchy"
-	"kjoin/internal/index"
 	"kjoin/internal/sig"
 )
 
@@ -34,10 +33,11 @@ import (
 // mu: every mutation publishes an immutable view (segment list, memtable
 // prefix, counters) through an atomic pointer, and RunQuery, Len, Stats,
 // WALSeq, SegmentSizes, SegmentStats and Pin work entirely off a loaded
-// view. PrepareQuery synchronizes internally (prepMu). The segment
-// layout never influences results: candidate sets are unions over
-// disjoint id ranges and are verified in ascending id order regardless
-// of which segment supplied them.
+// view. PrepareQuery synchronizes internally (prepMu). An add and a
+// query run the same probe (probe) against a pinned view — an add then
+// inserts its object — so the layout never influences results either:
+// candidate sets are unions over disjoint id ranges and are verified in
+// ascending id order regardless of which segment supplied them.
 //
 // Concurrency contract: Add/AddCtx/Query/QueryCtx serialize internally
 // on mu and may be called concurrently with everything; PrepareQuery and
@@ -45,10 +45,10 @@ import (
 type Indexer struct {
 	// j holds the shared preprocessing and verification state. It is
 	// dual-protected: the resolution/signature caches and arenas are
-	// mutated only under prepMu, while the statistics (j.st) and
-	// verification context scratch (j.ctx) are mutated only under mu.
-	// (Annotating a single guard here would be wrong, so the split is
-	// enforced by review rather than kjoinlint.)
+	// mutated only under prepMu, while the statistics (j.st) are mutated
+	// only under mu; probes verify on pooled clones of j.ctx. (Annotating
+	// a single guard here would be wrong, so the split is enforced by
+	// review rather than kjoinlint.)
 	j     *joiner
 	order *sig.Order
 
@@ -65,19 +65,10 @@ type Indexer struct {
 	// handle, the WAL position and the statistics. Writers hold it for
 	// the probe+commit of an add; readers never take it.
 	//kjoinlint:lockorder rank=24
-	mu   sync.Mutex
-	segs []*segment // guarded by mu; elements immutable once listed
-	mem  *memtable  // guarded by mu
-	// memInv is the writer-private inverted index over the memtable
-	// (global ids): the add probe uses it, and a seal adopts it as the
-	// new segment's index. Lock-free readers scan the published memtable
-	// prefix instead.
-	memInv   *index.Inverted // guarded by mu
-	memBirth time.Time       // guarded by mu: first insert into current memtable
-	// wk is the add path's kernel. Its seen table has one slot per
-	// indexed object (grown by insertLocked) and deduplicates candidates
-	// across an object's prefix signatures and across segments.
-	wk *kernel // guarded by mu
+	mu       sync.Mutex
+	segs     []*segment // guarded by mu; elements immutable once listed
+	mem      *memtable  // guarded by mu
+	memBirth time.Time  // guarded by mu: first insert into current memtable
 	// walSeq is the last write-ahead-log sequence reflected in the
 	// index (see SetWALSeq/ApplyLogged); it travels inside snapshots so
 	// recovery knows where replay resumes.
@@ -95,9 +86,10 @@ type Indexer struct {
 	// pin. Stored only by publishLocked (under mu); loaded anywhere.
 	view atomic.Pointer[view]
 
-	// vpool holds per-query kernels: RunQuery may run from many
-	// goroutines at once, and each kernel owns the verify.Context clone
-	// and buffers that make a steady-state query allocation-free.
+	// vpool holds the probe kernels: adds and queries borrow one each, as
+	// RunQuery may run from many goroutines at once, and a kernel owns the
+	// verify.Context clone and buffers that make a steady-state probe
+	// allocation-free. A kernel goes back with its counts drained.
 	vpool sync.Pool
 }
 
@@ -118,8 +110,6 @@ func NewIndexer(h *hierarchy.Hierarchy, opt Options) (*Indexer, error) {
 		order:   sig.BuildOrder(nil), // empty df: order degrades to signature id
 		scratch: make([]prepScratch, 1),
 		mem:     &memtable{},
-		memInv:  index.New(),
-		wk:      newKernel(j.ctx, &j.opt, gate),
 	}
 	ix.vpool.New = func() any { return newKernel(j.ctx.Clone(), &j.opt, gate) }
 	ix.mu.Lock()
@@ -265,26 +255,12 @@ func (ix *Indexer) AddCtx(ctx context.Context, tokens []string) (int, []Pair, er
 		return 0, nil, fmt.Errorf("kjoin: indexer is full")
 	}
 
-	// Probe: all prior objects sharing a prefix signature, gathered from
-	// every segment plus the memtable's private index, deduplicated by
-	// stamping, then verified in ascending id order — the candidate set
-	// and the verification of each pair are independent of the segment
-	// layout, so results are bit-identical for any seal/merge schedule.
-	// Every mutation publishes before it releases mu, so the current view
-	// resolves every id the indexes hold.
+	// Probe every prior object. Every mutation publishes before it
+	// releases mu, so the current view holds exactly the indexed objects.
 	t1 := time.Now()
-	k := ix.wk
-	k.begin()
-	for _, seg := range ix.segs {
-		if err := ctx.Err(); err != nil {
-			j.st.Probe += time.Since(t1)
-			return 0, nil, err
-		}
-		k.gather(seg.inv, p.prefix)
-	}
-	k.gather(ix.memInv, p.prefix)
-	slices.Sort(k.cands)
-	done := k.run(ctx, &p, ix.view.Load(), nil, 0)
+	k := ix.vpool.Get().(*kernel)
+	defer ix.vpool.Put(k)
+	done := ix.probe(ctx, &p, ix.view.Load(), k)
 	k.drainInto(&j.st)
 	if !done {
 		j.st.Probe += time.Since(t1)
@@ -300,12 +276,12 @@ func (ix *Indexer) AddCtx(ctx context.Context, tokens []string) (int, []Pair, er
 	// append aborts the add with the engine untouched), then insert and
 	// publish the new epoch.
 	if ix.sealDueLocked() {
-		if err := ix.logSealLocked(); err != nil {
+		ch, err := ix.sealLiveLocked()
+		if err != nil {
 			j.st.Probe += time.Since(t1)
 			return 0, nil, err
 		}
-		ix.sealLocked()
-		if ch := ix.maybeMergeLocked(); ch != nil {
+		if ch != nil {
 			go ix.mergeLoop(ch)
 		}
 	}
@@ -313,6 +289,35 @@ func (ix *Indexer) AddCtx(ctx context.Context, tokens []string) (int, []Pair, er
 	j.st.Probe += time.Since(t1)
 	ix.publishLocked()
 	return id, out, nil
+}
+
+// probe runs Algorithm 1's probe of object p against the pinned view v on
+// kernel k: the objects sharing a prefix signature with p, gathered from
+// every segment's inverted index (deduplicated by k's stamps) and from a
+// scan of the memtable, then verified in ascending id order. The
+// candidate set and each pair's verification are independent of the
+// segment layout, so results are bit-identical for any seal/merge
+// schedule. It returns false if ctx was cancelled first.
+func (ix *Indexer) probe(ctx context.Context, p *prepped, v *view, k *kernel) bool {
+	k.begin(v.total)
+	for _, seg := range v.segs {
+		if ctx.Err() != nil {
+			return false
+		}
+		k.gather(seg.inv, p.prefix)
+	}
+	// The memtable's ids all follow the segments', ascending, and each is
+	// scanned once: sorting the segments' part orders the whole list.
+	slices.Sort(k.cands)
+	for i := range v.memObjs {
+		if i%cancelCheckEvery == cancelCheckEvery-1 && ctx.Err() != nil {
+			return false
+		}
+		if sharesSig(p.prefix, v.memObjs[i].prefix) {
+			k.cands = append(k.cands, int32(v.memBase+i))
+		}
+	}
+	return k.run(ctx, p, v, nil, 0)
 }
 
 // Match is one similarity-search result: the insertion index of a
@@ -353,43 +358,17 @@ func (ix *Indexer) PrepareQuery(tokens []string) (*PreparedQuery, error) {
 func (ix *Indexer) RunQuery(ctx context.Context, q *PreparedQuery) ([]Match, error) {
 	// Borrow a kernel: its verify scratch and buffers make the probe
 	// allocation-free, and pooling amortizes them (and the scratch's
-	// warmed tables) across queries.
+	// warmed tables) across probes. A query's counts are not booked.
 	k := ix.vpool.Get().(*kernel)
-	defer ix.vpool.Put(k)
-	return ix.runQuery(ctx, q, k)
+	ms, err := ix.runQuery(ctx, q, k)
+	k.probeCounts = probeCounts{}
+	ix.vpool.Put(k)
+	return ms, err
 }
 
 // runQuery is RunQuery on the caller's kernel.
 func (ix *Indexer) runQuery(ctx context.Context, q *PreparedQuery, k *kernel) ([]Match, error) {
-	v := ix.view.Load()
-	// Gather candidates from the immutable segments' inverted indexes,
-	// then scan the memtable prefix for shared prefix signatures (the
-	// memtable's index is writer-private). A pooled kernel has no seen
-	// table — it would need a slot per indexed object per concurrent
-	// query — so ids repeated across the query's prefix signatures are
-	// compacted away after the sort that ascending verification order
-	// needs anyway.
-	cands := k.cands[:0]
-	for _, seg := range v.segs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for _, s := range q.p.prefix {
-			cands = append(cands, seg.inv.Postings(s)...)
-		}
-	}
-	for i := range v.memObjs {
-		if i%cancelCheckEvery == cancelCheckEvery-1 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if sharesSig(q.p.prefix, v.memObjs[i].prefix) {
-			cands = append(cands, int32(v.memBase+i))
-		}
-	}
-	slices.Sort(cands)
-	k.cands = slices.Compact(cands)
-
-	k.run(ctx, &q.p, v, nil, 0)
+	ix.probe(ctx, &q.p, ix.view.Load(), k)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -142,10 +142,11 @@ type hit struct {
 // works a probe object's candidates as a batch through gather → verify.
 // A batch join gathers from its ranked index, where the size bound is
 // the interval gathered and the key-sketch column settles most of count
-// pruning; the streaming engine gathers from its inverted segments and
-// the size gate meets each candidate as it is fetched. A
-// kernel owns its verification context and buffers, so each worker (and
-// each pooled query) has its own; after warm-up a batch allocates
+// pruning; the streaming engine's probe (Indexer.probe) gathers from its
+// inverted segments and its memtable, and the size gate meets each
+// candidate as it is fetched. A kernel owns its verification context and
+// buffers, so each batch worker has its own and the engine pools them,
+// one per add or query in flight; after warm-up a batch allocates
 // nothing.
 type kernel struct {
 	vctx        *verify.Context
@@ -179,14 +180,18 @@ func newKernel(vctx *verify.Context, opt *Options, gate *sizeGate) *kernel {
 	return &kernel{vctx: vctx, verifier: opt.Verifier, computeSims: opt.ComputeSims, gate: gate}
 }
 
-// begin starts a new probe object's batch.
-func (k *kernel) begin() {
+// begin starts a new probe object's batch over object ids below n,
+// growing the seen stamps to cover them.
+func (k *kernel) begin(n int) {
 	k.cands = k.cands[:0]
 	if k.stamp == math.MaxInt32 {
 		clear(k.seen)
 		k.stamp = 0
 	}
 	k.stamp++
+	if n > len(k.seen) {
+		k.seen = append(k.seen, make([]int32, n-len(k.seen))...)
+	}
 }
 
 // gather appends the not yet seen object ids that share a prefix

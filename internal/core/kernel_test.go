@@ -141,7 +141,7 @@ func TestKernelPathsMatchNaive(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				qk := newKernel(ix.j.ctx.Clone(), &ix.j.opt, ix.wk.gate)
+				qk := ix.vpool.New().(*kernel)
 				var gotAdd, gotQuery []Pair
 				for i, o := range objs {
 					q, err := ix.PrepareQuery(o)
@@ -223,11 +223,10 @@ func batchState(h *hierarchy.Hierarchy, objects [][]string, opt Options) (*joine
 func batchKernel(j *joiner, rk *ranked) (*kernel, func(ctx context.Context, x int) bool) {
 	gate := newSizeGate(&j.opt, len(rk.first)-2)
 	k := newKernel(j.ctx.Clone(), &j.opt, gate)
-	k.seen = make([]int32, len(rk.objs))
 	return k, func(ctx context.Context, x int) bool {
 		px := &rk.objs[x]
 		lo, _ := rk.interval(gate.bounds(len(px.Elems)))
-		k.begin()
+		k.begin(len(rk.objs))
 		k.gatherRanked(rk, px, lo, int32(x))
 		return k.run(ctx, px, rk, rk.input, int32(x))
 	}
@@ -250,7 +249,7 @@ func TestKernelSteadyStateZeroAlloc(t *testing.T) {
 	// What the prefixes gather with no size bound, read off the funnel: the
 	// gather books the candidates its sketch settles, run books the rest.
 	for x := range rk.objs {
-		k.begin()
+		k.begin(len(rk.objs))
 		k.gatherRanked(rk, &rk.objs[x], 0, int32(x))
 		k.run(ctx, &rk.objs[x], rk, rk.input, int32(x))
 	}

@@ -1,20 +1,15 @@
 package core
 
-import (
-	"time"
-
-	"kjoin/internal/index"
-)
+import "time"
 
 // defaultSealEvery is the memtable capacity when Options.SealEvery is 0.
 const defaultSealEvery = 256
 
 // memtable is the mutable tail of the segmented engine: the objects
 // added since the last seal, absorbing inserts under ix.mu until the
-// seal threshold freezes them into an immutable segment. Its inverted
-// index lives separately on the Indexer (memInv) because it is
-// writer-private — lock-free readers probe the memtable by scanning
-// the published object prefix instead.
+// seal threshold freezes them into an immutable segment. It keeps no
+// inverted index: every probe scans its published prefix (sharesSig),
+// and a seal builds the segment's index in one pass.
 type memtable struct {
 	base int       // global id of objs[0]
 	objs []prepped // appended under the Indexer's mu; published prefixes are immutable
@@ -43,52 +38,47 @@ func (ix *Indexer) sealDueLocked() bool {
 }
 
 // sealLocked freezes the memtable into an immutable segment and starts
-// a fresh one. The memtable's writer-private inverted index already
-// holds exactly the segment's postings (global ids, ascending), so the
-// seal adopts it instead of rebuilding. No-op on an empty memtable —
-// replayed seal records stay idempotent against the defensive
-// count-based seals of pre-seal-record logs. Caller holds mu.
+// a fresh one. No-op on an empty memtable — replayed seal records stay
+// idempotent against the defensive count-based seals of pre-seal-record
+// logs. Caller holds mu.
 func (ix *Indexer) sealLocked() {
 	if len(ix.mem.objs) == 0 {
 		return
 	}
-	objs := ix.mem.objs[:len(ix.mem.objs):len(ix.mem.objs)]
-	seg := &segment{base: ix.mem.base, objs: objs, inv: ix.memInv}
+	seg := newSegment(ix.mem.base, ix.mem.objs[:len(ix.mem.objs):len(ix.mem.objs)])
 	ix.segs = append(ix.segs, seg)
 	ix.mem = &memtable{base: seg.base + len(seg.objs)}
-	ix.memInv = index.New()
 	ix.sealTotal++
 }
 
-// insertLocked appends a prepped object to the memtable and returns its
-// global id. Caller holds mu and has already handled sealing.
-func (ix *Indexer) insertLocked(p prepped) int {
-	id := ix.mem.base + len(ix.mem.objs)
+// insertLocked appends a prepped object to the memtable. Caller holds mu
+// and has already handled sealing.
+func (ix *Indexer) insertLocked(p prepped) {
 	if len(ix.mem.objs) == 0 {
 		ix.memBirth = time.Now()
 	}
-	ix.memInv.AddAll(p.prefix, int32(id))
 	ix.mem.objs = append(ix.mem.objs, p)
-	ix.wk.seen = append(ix.wk.seen, 0)
-	ix.j.st.Objects = id + 1
-	return id
+	ix.j.st.Objects = ix.mem.base + len(ix.mem.objs)
 }
 
-// logSealLocked appends a seal record through the installed seal logger
-// (if any) and advances the engine's WAL position to it. It must run
-// before the seal mutates anything: if the append fails the add that
-// triggered the seal is aborted and the engine is unchanged. Caller
-// holds mu.
-func (ix *Indexer) logSealLocked() error {
-	if ix.sealLog == nil {
-		return nil
+// sealLiveLocked is a live seal, of an add or of Seal: it appends a seal
+// record through the installed seal logger (if any) and advances the
+// engine's WAL position to it, then seals and registers a background
+// merger if the new layout has work, returning the channel the caller
+// hands to a new mergeLoop goroutine (maybeMergeLocked), or nil. The
+// record goes first: if the append fails the add that triggered the seal
+// is aborted and the engine is unchanged. Caller holds mu and publishes
+// after.
+func (ix *Indexer) sealLiveLocked() (chan struct{}, error) {
+	if ix.sealLog != nil {
+		seq, err := ix.sealLog()
+		if err != nil {
+			return nil, err
+		}
+		ix.walSeq = seq
 	}
-	seq, err := ix.sealLog()
-	if err != nil {
-		return err
-	}
-	ix.walSeq = seq
-	return nil
+	ix.sealLocked()
+	return ix.maybeMergeLocked(), nil
 }
 
 // SetSealLogger installs the hook the engine calls immediately before
@@ -111,11 +101,11 @@ func (ix *Indexer) Seal() error {
 	if len(ix.mem.objs) == 0 {
 		return nil
 	}
-	if err := ix.logSealLocked(); err != nil {
+	ch, err := ix.sealLiveLocked()
+	if err != nil {
 		return err
 	}
-	ix.sealLocked()
-	if ch := ix.maybeMergeLocked(); ch != nil {
+	if ch != nil {
 		go ix.mergeLoop(ch)
 	}
 	ix.publishLocked()
@@ -125,11 +115,4 @@ func (ix *Indexer) Seal() error {
 // SegmentSizes returns the object count of each sealed segment in
 // order — the engine's layout, as pinned by the current view. Safe to
 // call concurrently with anything.
-func (ix *Indexer) SegmentSizes() []int {
-	v := ix.view.Load()
-	out := make([]int, len(v.segs))
-	for i, s := range v.segs {
-		out[i] = len(s.objs)
-	}
-	return out
-}
+func (ix *Indexer) SegmentSizes() []int { return segSizes(ix.view.Load().segs) }

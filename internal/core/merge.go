@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // The merge policy must be confluent: background merging is delayed
 // arbitrarily relative to seals, yet a quiesced engine (WaitMerges) has
 // to reach the same layout as replay, which merges to fixpoint at every
@@ -13,15 +15,35 @@ package core
 // which pair goes first.)
 
 // mergePlan returns the leftmost index i such that segs[i] should merge
-// with segs[i+1] (its size is not strictly greater), or -1 when the
+// with segs[i+1] (mergeAt).
+func mergePlan(segs []*segment) int { return mergeAt(segSizes(segs)) }
+
+// mergeAt is the merge policy on a size layout: the leftmost index i
+// whose size is not strictly greater than size i+1's, or -1 when the
 // layout is at fixpoint (sizes strictly decreasing left to right).
-func mergePlan(segs []*segment) int {
-	for i := 0; i+1 < len(segs); i++ {
-		if len(segs[i].objs) <= len(segs[i+1].objs) {
+func mergeAt(sizes []int) int {
+	for i := 0; i+1 < len(sizes); i++ {
+		if sizes[i] <= sizes[i+1] {
 			return i
 		}
 	}
 	return -1
+}
+
+// segSizes returns the object count of each segment.
+func segSizes(segs []*segment) []int {
+	sizes := make([]int, len(segs))
+	for i, s := range segs {
+		sizes[i] = len(s.objs)
+	}
+	return sizes
+}
+
+// spliceLocked replaces segments i and i+1 with merged. The list is
+// freshly allocated: published views alias the old one. Caller holds mu.
+func (ix *Indexer) spliceLocked(i int, merged *segment) {
+	ix.segs = slices.Concat(ix.segs[:i], []*segment{merged}, ix.segs[i+2:])
+	ix.mergeTotal++
 }
 
 // maybeMergeLocked registers a background merger if there is work and
@@ -64,12 +86,7 @@ func (ix *Indexer) mergeLoop(done chan struct{}) {
 		// have rewritten the layout while we built. If the pair moved,
 		// drop the work and re-plan.
 		if i+1 < len(ix.segs) && ix.segs[i] == a && ix.segs[i+1] == b {
-			segs := make([]*segment, 0, len(ix.segs)-1)
-			segs = append(segs, ix.segs[:i]...)
-			segs = append(segs, merged)
-			segs = append(segs, ix.segs[i+2:]...)
-			ix.segs = segs
-			ix.mergeTotal++
+			ix.spliceLocked(i, merged)
 			ix.publishLocked()
 		}
 		ix.mu.Unlock()
@@ -81,18 +98,8 @@ func (ix *Indexer) mergeLoop(done chan struct{}) {
 // of pre-layout versions) use it so a rebuilt engine lands on the
 // deterministic layout directly. Caller holds mu and publishes after.
 func (ix *Indexer) mergeToFixpointLocked() {
-	for {
-		i := mergePlan(ix.segs)
-		if i < 0 {
-			return
-		}
-		merged := mergeSegments(ix.segs[i], ix.segs[i+1])
-		segs := make([]*segment, 0, len(ix.segs)-1)
-		segs = append(segs, ix.segs[:i]...)
-		segs = append(segs, merged)
-		segs = append(segs, ix.segs[i+2:]...)
-		ix.segs = segs
-		ix.mergeTotal++
+	for i := mergePlan(ix.segs); i >= 0; i = mergePlan(ix.segs) {
+		ix.spliceLocked(i, mergeSegments(ix.segs[i], ix.segs[i+1]))
 	}
 }
 
@@ -115,23 +122,14 @@ func (ix *Indexer) WaitMerges() {
 // returns how many merge steps separate it from fixpoint — the
 // /stats merge_backlog gauge.
 func mergeBacklog(sizes []int) int {
-	s := append([]int(nil), sizes...)
+	s := slices.Clone(sizes)
 	steps := 0
-	for {
-		i := -1
-		for k := 0; k+1 < len(s); k++ {
-			if s[k] <= s[k+1] {
-				i = k
-				break
-			}
-		}
-		if i < 0 {
-			return steps
-		}
+	for i := mergeAt(s); i >= 0; i = mergeAt(s) {
 		s[i] += s[i+1]
-		s = append(s[:i+1], s[i+2:]...)
+		s = slices.Delete(s, i+1, i+2)
 		steps++
 	}
+	return steps
 }
 
 // SegmentStats is the engine observability snapshot exported through
@@ -148,15 +146,11 @@ type SegmentStats struct {
 // the current view. Safe to call concurrently with anything.
 func (ix *Indexer) SegmentStats() SegmentStats {
 	v := ix.view.Load()
-	sizes := make([]int, len(v.segs))
-	for i, s := range v.segs {
-		sizes[i] = len(s.objs)
-	}
 	return SegmentStats{
 		Segments:     len(v.segs),
 		MemObjects:   len(v.memObjs),
 		SealTotal:    v.sealTotal,
 		MergeTotal:   v.mergeTotal,
-		MergeBacklog: mergeBacklog(sizes),
+		MergeBacklog: mergeBacklog(segSizes(v.segs)),
 	}
 }

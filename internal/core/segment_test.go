@@ -124,6 +124,67 @@ func TestSegmentedDifferentialBitIdentical(t *testing.T) {
 	}
 }
 
+// TestQueryCountsNeverLeakIntoStats interleaves queries with adds that
+// cross seals and merges, with more queries racing from another
+// goroutine. Adds and queries borrow kernels from one pool, so a query's
+// probe counts left in a kernel would reach the next add's Stats: the
+// logical statistics must equal those of the same adds run alone. A
+// query interns its unseen tokens, and the engine orders signatures by
+// id, so every query here repeats an object already added or the one
+// about to be: the adds' signature ids stay those of the lone run.
+func TestQueryCountsNeverLeakIntoStats(t *testing.T) {
+	h, objs := segDiffCorpus(17, 150)
+	opt := Defaults(0.7, 0.5)
+	opt.SealEvery = 5
+	alone, err := NewIndexer(h, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addAll(t, alone, objs)
+	ix, err := NewIndexer(h, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := ix.Query(objs[i%max(ix.Len(), 1)]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i, o := range objs {
+		for _, q := range [][]string{o, objs[(i*7)%(i+1)]} {
+			if _, err := ix.Query(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := ix.Add(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	ix.WaitMerges()
+	if st := ix.SegmentStats(); st.SealTotal == 0 || st.MergeTotal == 0 {
+		t.Fatalf("adds never crossed a seal and a merge: %+v", st)
+	}
+	got, want := ix.Stats(), alone.Stats()
+	if got.Objects != want.Objects || got.Candidates != want.Candidates || got.SizePruned != want.SizePruned ||
+		got.SigEntries != want.SigEntries || got.Verify != want.Verify {
+		t.Fatalf("stats with queries %+v, adds alone %+v", got, want)
+	}
+}
+
 // TestSegmentedConcurrentStress races adders, forced seals, background
 // merges, lock-free queries and WaitMerges against each other; run
 // under -race it is the engine's memory-model check. Every query must

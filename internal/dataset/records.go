@@ -61,16 +61,16 @@ func TweetConfig(n int) RecordConfig {
 
 // GenRecords generates a collection of tokenized records over the
 // hierarchy: each record mixes entity tokens (hierarchy node names,
-// depths centred on AvgDepth) with skewed free tokens, and DupRate of
+// depths centred on AvgDepth) with free tokens, and DupRate of
 // the records are mutated near-duplicates of earlier ones.
 func GenRecords(hr *Hier, cfg RecordConfig) *Collection {
 	r := rng.New(cfg.Seed)
 	out := &Collection{Truth: map[[2]int]bool{}}
 
-	// Free vocabulary: non-entity tokens (street words, descriptors)
-	// drawn with Zipf skew — real POI/Tweet corpora reuse a small hot
-	// vocabulary heavily, which is what makes coarse signatures
-	// non-selective in the paper's filtering experiments.
+	// Free vocabulary: non-entity tokens (street words, descriptors),
+	// drawn uniformly from FreeVocab words. A small vocabulary is reused
+	// heavily, as in real POI/Tweet corpora, which is what makes coarse
+	// signatures non-selective in the paper's filtering experiments.
 	nm := newNamer(rng.New(cfg.Seed ^ 0xfeed))
 	vocab := make([]string, cfg.FreeVocab)
 	for i := range vocab {
@@ -120,7 +120,7 @@ func GenRecords(hr *Hier, cfg RecordConfig) *Collection {
 	}
 	// Entity sampling mirrors a regional crawl: only a popular subset of
 	// each depth is ever referenced (one metro area's streets, a city's
-	// cuisine categories), drawn with Zipf skew. Every signature is
+	// cuisine categories), drawn uniformly from it. Every signature is
 	// therefore frequent — there are no selective identifier tokens —
 	// which is the regime where coarse node signatures collapse onto a
 	// few hot ancestors while deep signatures stay comparatively rare,

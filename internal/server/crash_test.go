@@ -348,6 +348,25 @@ func TestReadyzGatesOnRecovery(t *testing.T) {
 	}
 }
 
+// TestRecoverEmptyKeepsPlaceholder: recovery from empty directories
+// serves the index NewRecovering made instead of building a second one.
+func TestRecoverEmptyKeepsPlaceholder(t *testing.T) {
+	h, _ := paperdata.Fig1()
+	s, err := NewRecovering(h, core.Defaults(0.7, 0.6), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	placeholder := s.ix.Load()
+	dir := t.TempDir()
+	if err := s.Recover(Durability{WALDir: filepath.Join(dir, "wal"), SnapshotDir: filepath.Join(dir, "snap")}); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.ix.Load() != placeholder {
+		t.Fatal("an empty recovery replaced the placeholder index")
+	}
+}
+
 // TestWalFailureDegradesNotCorrupts: after the log poisons itself the
 // server keeps answering queries, refuses new adds fast, reports the
 // state in /stats, and refuses to snapshot (a snapshot could persist

@@ -38,7 +38,9 @@ func NewRecovering(h *hierarchy.Hierarchy, opt core.Options, cfg Config) (*Serve
 // unacknowledged records are either absent (fsync refused → rolled
 // back) or past the torn-tail truncation point. Consecutive add records
 // replay as runs through the engine's bulk path (ApplyLoggedRun), cut
-// at each seal record, which then applies alone.
+// at each seal record, which then applies alone. It runs once, on a
+// server from NewRecovering: a start with no snapshot keeps that
+// server's empty placeholder index.
 func (s *Server) Recover(d Durability) error {
 	var ix *core.Indexer
 	var run [][]string
@@ -54,8 +56,10 @@ func (s *Server) Recover(d Durability) error {
 		func(r io.Reader) (uint64, int, error) {
 			var err error
 			if r == nil {
-				ix, err = core.NewIndexer(s.h, s.opt)
-				return 0, 0, err
+				// Nothing is served before Recover completes, so the
+				// placeholder NewRecovering made is still empty.
+				ix = s.ix.Load()
+				return 0, 0, nil
 			}
 			if ix, _, err = core.LoadIndexerMeta(s.h, s.opt, r); err != nil {
 				return 0, 0, err

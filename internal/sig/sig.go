@@ -12,6 +12,7 @@
 package sig
 
 import (
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -669,7 +670,7 @@ func DistElePrefixS(entries []Entry, tauS int, ps *PrefixScratch) int {
 	if tauS <= 0 {
 		return 0
 	}
-	ps.stamp++
+	ps.next()
 	distinct := 0
 	for i := len(entries) - 1; i >= 0; i-- {
 		e := entries[i].Elem
@@ -701,7 +702,7 @@ func WeightedPrefixS(entries []Entry, minOverlap float64, ps *PrefixScratch) int
 	if minOverlap <= 0 {
 		return 0
 	}
-	ps.stamp++
+	ps.next()
 	msim := 0.0
 	for i := len(entries) - 1; i >= 0; i-- {
 		en := entries[i]
@@ -734,6 +735,17 @@ type PrefixScratch struct {
 	best  []float64
 	words []uint64
 	moved []Entry
+}
+
+// next starts a new stamp epoch. A scratch can outlive 2^31 prefix
+// cuts, so at MaxInt32 the table is cleared and the stamp restarts
+// rather than wrap onto values stale slots still hold.
+func (ps *PrefixScratch) next() {
+	if ps.stamp == math.MaxInt32 {
+		clear(ps.seen)
+		ps.stamp = 0
+	}
+	ps.stamp++
 }
 
 func (ps *PrefixScratch) grow(n int) {

@@ -2,6 +2,7 @@ package sig
 
 import (
 	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -395,6 +396,40 @@ func TestWeightedPrefixEdgeCases(t *testing.T) {
 	// sig1 (elem0, 1) → 1.9 ≥ 1.5 → prefix 1.
 	if got := WeightedPrefix(es, 1.5); got != 1 {
 		t.Errorf("prefix = %d, want 1", got)
+	}
+}
+
+// TestPrefixScratchStampWrap runs prefix cuts across the scratch's
+// stamp limit, its table holding stale marks of the stamps a wrapped or
+// restarted counter reaches first: every cut must match a fresh
+// scratch's.
+func TestPrefixScratchStampWrap(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	stale := []int32{math.MinInt32, math.MinInt32 + 1, 1, 2}
+	for trial := 0; trial < 50; trial++ {
+		var ps PrefixScratch
+		ps.grow(16)
+		for i := range ps.seen {
+			ps.seen[i], ps.best[i] = stale[(i+trial)%len(stale)], 1
+		}
+		ps.stamp = math.MaxInt32 - 1
+		for cut := 0; cut < 3; cut++ {
+			es := make([]Entry, 1+r.Intn(12))
+			for i := range es {
+				es[i] = Entry{Sig: Sig(i), W: 0.1 + 0.9*r.Float64(), Elem: int32(r.Intn(16))}
+			}
+			if trial%2 == 0 {
+				tauS := 1 + r.Intn(4)
+				if got, want := DistElePrefixS(es, tauS, &ps), DistElePrefix(es, tauS); got != want {
+					t.Errorf("trial %d cut %d: DistElePrefixS = %d, fresh scratch %d", trial, cut, got, want)
+				}
+			} else {
+				minOverlap := 0.5 + 2*r.Float64()
+				if got, want := WeightedPrefixS(es, minOverlap, &ps), WeightedPrefix(es, minOverlap); got != want {
+					t.Errorf("trial %d cut %d: WeightedPrefixS = %d, fresh scratch %d", trial, cut, got, want)
+				}
+			}
+		}
 	}
 }
 
